@@ -2,7 +2,10 @@
 // (src/fastpath) against the seed-era scalar reference paths preserved in
 // fastpath/scalar_ref.hpp:
 //
-//   * CRC FCS-16/FCS-32: byte-at-a-time table loop vs slicing-by-8;
+//   * CRC FCS-16/FCS-32: byte-at-a-time table loop vs the kernel the FCS
+//     engine dispatches (carry-less multiply for FCS-32 on hosts with
+//     PCLMULQDQ, slicing-by-16 otherwise), plus FCS-32 pinned to the
+//     slicing-by-16 tables so the portable path stays gated;
 //   * HDLC stuffing/destuffing: octet loop vs the runtime-dispatched escape
 //     engine (scalar / SWAR / SSE2 / SSSE3 / AVX2), with one row per tier
 //     this host can pin plus the production auto-dispatch row;
@@ -20,10 +23,11 @@
 // Row semantics: `frame_bytes` is always the *payload* size; `wire_bytes`
 // is the stuffed/framed size the kernel actually moves (destuff throughput
 // is measured over wire octets consumed). `dispatch` names the escape-engine
-// tier the row ran; `pinned` rows force a lower tier for diagnosis — the
-// speedup guarantees apply to the auto-dispatch rows only (a pinned SWAR
-// row at high density is *expected* to trail the scalar seed; that regression
-// is exactly why the dispatcher exists).
+// tier (for CRC rows, the FCS kernel) the row ran; `pinned` rows force a
+// lower tier or kernel for diagnosis — the speedup guarantees apply to the
+// auto-dispatch rows only (a pinned SWAR row at high density is *expected*
+// to trail the scalar seed; that regression is exactly why the dispatcher
+// exists).
 //
 // Usage: bench_softpath [--smoke] [--quick] [--out <path>]
 //   --smoke  tiny iteration counts (CI bit-rot check, label `bench`)
@@ -135,9 +139,9 @@ int run(int argc, char** argv) {
   banner("bench_softpath — word-parallel software fast path, old vs new",
          "host-side acceleration (no paper artifact); mirrors the paper's 8->32-bit "
          "width-scaling idea in software");
-  std::printf("escape-engine dispatch: detected %s, auto tier %s\n",
+  std::printf("escape-engine dispatch: detected %s, auto tier %s; FCS-32 kernel %s\n",
               fastpath::to_string(fastpath::detected_tier()),
-              fastpath::to_string(fastpath::best_tier()));
+              fastpath::to_string(fastpath::best_tier()), crc::fcs32().slicer().kernel());
 
   const fastpath::scalar::ByteTableCrc old_crc32(crc::kFcs32);
   const fastpath::scalar::ByteTableCrc old_crc16(crc::kFcs16);
@@ -154,10 +158,14 @@ int run(int argc, char** argv) {
 
       // --- CRC (input-independent of density, but swept uniformly so every
       // row of the JSON has the same shape) ---
-      rows.push_back({"crc32", size, density, "slice8", false, size,
-                      measure_mb_s(size, [&] { g_sink = old_crc32.crc(payload); }),
-                      measure_mb_s(size, [&] { g_sink = crc::fcs32().crc(payload); })});
-      rows.push_back({"crc16", size, density, "slice8", false, size,
+      const double crc32_old = measure_mb_s(size, [&] { g_sink = old_crc32.crc(payload); });
+      rows.push_back({"crc32", size, density, crc::fcs32().slicer().kernel(), false, size,
+                      crc32_old, measure_mb_s(size, [&] { g_sink = crc::fcs32().crc(payload); })});
+      rows.push_back({"crc32", size, density, "slice16", true, size, crc32_old,
+                      measure_mb_s(size, [&] {
+                        g_sink = crc::fcs32().slicer().update_tables(crc::kFcs32.init, payload);
+                      })});
+      rows.push_back({"crc16", size, density, crc::fcs16().slicer().kernel(), false, size,
                       measure_mb_s(size, [&] { g_sink = old_crc16.crc(payload); }),
                       measure_mb_s(size, [&] { g_sink = crc::fcs16().crc(payload); })});
 

@@ -266,12 +266,13 @@ int main(int argc, char** argv) {
     const bool exact = ts.ledger_exact();
     ok = ok && exact;
     std::printf("[tenant %u] dgrams in=%llu echo=%llu up=%llu sunk=%llu lost=%llu"
-                " | sessions adm=%llu rej=%llu | policed=%llu | ledger %s\n",
+                " ring-dropped=%llu | sessions adm=%llu rej=%llu | policed=%llu | ledger %s\n",
                 id, static_cast<unsigned long long>(ts.dgrams_in),
                 static_cast<unsigned long long>(ts.dgrams_echoed),
                 static_cast<unsigned long long>(ts.dgrams_uplinked),
                 static_cast<unsigned long long>(ts.dgrams_sunk),
                 static_cast<unsigned long long>(ts.dgrams_lost),
+                static_cast<unsigned long long>(ts.dgrams_ring_dropped),
                 static_cast<unsigned long long>(ts.sessions_admitted),
                 static_cast<unsigned long long>(ts.sessions_rejected),
                 static_cast<unsigned long long>(ts.chunks_policed),

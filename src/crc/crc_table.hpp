@@ -2,10 +2,11 @@
 // (src/hdlc, src/ppp, src/net) and an independent cross-check of the bitwise
 // reference.
 //
-// Since the word-parallel fast path landed, `update` runs slicing-by-8 —
-// eight interleaved tables, eight octets per iteration (fastpath/slice_crc) —
-// instead of the seed's one-table byte loop. The seed loop is preserved as
-// fastpath::scalar::ByteTableCrc for differential tests and benches.
+// `update` runs fastpath::SliceCrc (fastpath/slice_crc) instead of the
+// seed's one-table byte loop: slicing-by-16 tables, and for FCS-32 buffers of
+// 64 octets or more a carry-less-multiply kernel on hosts with PCLMULQDQ.
+// The seed loop is preserved as fastpath::scalar::ByteTableCrc for
+// differential tests and benches.
 #pragma once
 
 #include "common/types.hpp"
@@ -28,8 +29,8 @@ class TableCrc {
     return update(spec().init, data_with_fcs) == spec().residue;
   }
 
-  /// The underlying slicing engine (for fused kernels that interleave the
-  /// CRC with other per-octet work).
+  /// The underlying FCS engine (for fused kernels that interleave the CRC
+  /// with other per-octet work).
   [[nodiscard]] const fastpath::SliceCrc& slicer() const { return slicer_; }
 
  private:

@@ -675,9 +675,9 @@ u32 EscapeEngine::stuff_crc_append(Bytes& out, BytesView data, const SliceCrc& c
     ++counters_.swar_calls;
     return fastpath::stuff_crc_append(out, data, accm_, crc, state);
   }
-  // SIMD tiers: two vector passes (slicing-by-8 FCS, then stuff) — the FCS
-  // covers the *unstuffed* octets, so the passes are independent and each
-  // runs at its full word-parallel rate.
+  // SIMD tiers: two vector passes (the dispatched FCS kernel, then stuff) —
+  // the FCS covers the *unstuffed* octets, so the passes are independent and
+  // each runs at its full word-parallel rate.
   state = crc.update(state, data);
   stuff_append(out, data);
   return state;

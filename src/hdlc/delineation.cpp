@@ -5,30 +5,64 @@
 
 namespace p5::hdlc {
 
+namespace {
+
+/// First octet at or after `i` that is not a flag. Idle fill is a solid run
+/// of flags; skipping it a word at a time keeps it from costing a flag
+/// search per octet.
+std::size_t skip_flags(const u8* p, std::size_t i, std::size_t n) {
+  constexpr u64 kFlags = 0x7E7E7E7E7E7E7E7Eull;
+  static_assert(kFlag == 0x7E);
+  for (u64 w; i + 8 <= n; i += 8) {
+    std::memcpy(&w, p + i, 8);
+    if (w != kFlags) break;
+  }
+  while (i < n && p[i] == kFlag) ++i;
+  return i;
+}
+
+}  // namespace
+
 void Delineator::push(BytesView octets) {
   const u8* base = octets.data();
   const std::size_t n = octets.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const void* hit = std::memchr(base + i, kFlag, n - i);
-    const std::size_t flag_at = hit ? static_cast<std::size_t>(static_cast<const u8*>(hit) - base) : n;
-    if (const std::size_t span = flag_at - i; span > 0) {
-      stats_.octets += span;
-      if (in_frame_) {
-        const std::size_t room = current_.size() >= max_frame_ ? 0 : max_frame_ - current_.size();
-        const std::size_t take = std::min(span, room);
-        current_.insert(current_.end(), base + i, base + i + take);
-        if (take < span) overflowed_ = true;
-      }
-      i = flag_at;
+  if (n == 0) return;
+  const auto next_flag = [&](std::size_t from) {
+    const void* hit = std::memchr(base + from, kFlag, n - from);
+    return hit ? static_cast<std::size_t>(static_cast<const u8*>(hit) - base) : n;
+  };
+  // Up to the first flag, octets continue whatever frame an earlier push
+  // left open.
+  const std::size_t first = next_flag(0);
+  stats_.octets += first;
+  if (in_frame_) append(base, first);
+  if (first == n) return;
+  ++stats_.octets;
+  end_frame();
+  in_frame_ = true;
+  // From here every frame opens inside the span: each one that also closes
+  // in it goes to the sink as a view, and only the tail is accumulated.
+  for (std::size_t i = first + 1;;) {
+    const std::size_t body = skip_flags(base, i, n);  // empty frames: not events
+    stats_.octets += body - i;
+    if (body == n) return;
+    const std::size_t closing = next_flag(body);
+    if (closing == n) {
+      stats_.octets += n - body;
+      append(base + body, n - body);
+      return;
     }
-    if (i < n) {
-      ++stats_.octets;
-      end_frame();
-      in_frame_ = true;
-      ++i;
-    }
+    stats_.octets += closing - body + 1;
+    close(BytesView(base + body, closing - body), closing - body > max_frame_);
+    i = closing + 1;
   }
+}
+
+void Delineator::append(const u8* p, std::size_t n) {
+  const std::size_t room = current_.size() >= max_frame_ ? 0 : max_frame_ - current_.size();
+  const std::size_t take = std::min(n, room);
+  current_.insert(current_.end(), p, p + take);
+  if (take < n) overflowed_ = true;
 }
 
 void Delineator::push(u8 octet) {
@@ -48,20 +82,24 @@ void Delineator::push(u8 octet) {
 
 void Delineator::end_frame() {
   if (!in_frame_) return;
-  if (overflowed_) {
-    ++stats_.oversize;
-  } else if (!current_.empty() && current_.back() == kEscape) {
-    // 0x7D immediately before the closing flag: transmitter abort.
-    ++stats_.aborts;
-  } else if (current_.size() >= min_frame_) {
-    ++stats_.frames;
-    sink_(current_);
-  } else if (!current_.empty()) {
-    ++stats_.runts;
-  }
-  // empty current_: inter-frame fill / back-to-back flags — not an event.
+  close(current_, overflowed_);
   current_.clear();
   overflowed_ = false;
+}
+
+void Delineator::close(BytesView content, bool overflowed) {
+  if (overflowed) {
+    ++stats_.oversize;
+  } else if (!content.empty() && content.back() == kEscape) {
+    // 0x7D immediately before the closing flag: transmitter abort.
+    ++stats_.aborts;
+  } else if (content.size() >= min_frame_) {
+    ++stats_.frames;
+    sink_(content);
+  } else if (!content.empty()) {
+    ++stats_.runts;
+  }
+  // empty content: inter-frame fill / back-to-back flags — not an event.
 }
 
 void Delineator::flush() {

@@ -27,6 +27,7 @@ struct DelineatorStats {
   u64 runts = 0;           ///< inter-flag fragments too short to be frames
   u64 oversize = 0;        ///< frames dropped for exceeding max_frame_octets
   u64 octets = 0;          ///< raw octets consumed
+  bool operator==(const DelineatorStats&) const = default;
 };
 
 class Delineator {
@@ -38,8 +39,10 @@ class Delineator {
       : sink_(std::move(sink)), min_frame_(min_frame), max_frame_(max_frame_octets) {}
 
   void push(u8 octet);
-  /// Bulk push: memchr-scans between flags and appends whole spans, with
-  /// byte-for-byte the same state transitions and stats as the octet loop.
+  /// Bulk push: memchr-scans between flags, with byte-for-byte the same state
+  /// transitions and stats as the octet loop. A frame whose opening and
+  /// closing flags both lie in `octets` reaches the sink as a view of it;
+  /// only a frame straddling a push boundary is accumulated and copied.
   void push(BytesView octets);
 
   /// Treat the stream as ended: any partial frame is dropped.
@@ -50,6 +53,11 @@ class Delineator {
 
  private:
   void end_frame();
+  /// Disposition of one closed frame's content (abort, runt, oversize or
+  /// delivery), shared by the accumulated and the in-span paths.
+  void close(BytesView content, bool overflowed);
+  /// Accumulate octets of the open frame, bounded by max_frame_.
+  void append(const u8* p, std::size_t n);
 
   std::function<void(BytesView)> sink_;
   std::size_t min_frame_;

@@ -7,9 +7,10 @@
 //     registered pipeline stages, so latencies and words-per-cycle are
 //     architectural measurements. Throughput: simulation speed.
 //   * kFast  — FastP5Endpoint (p5/fast_endpoint): the production-tier batch
-//     datapath built from the proven fastpath kernels (slicing-by-8 FCS,
-//     SIMD escape engine, table scramblers). Whole-frame operations, zero
-//     per-cycle stepping, same SONET chunk stream and the same loss ledger.
+//     datapath built from the proven fastpath kernels (carry-less-multiply
+//     or slicing-by-16 FCS, SIMD escape engine, table scramblers).
+//     Whole-frame operations, zero per-cycle stepping, same SONET chunk
+//     stream and the same loss ledger.
 //
 // The two tiers are kept byte-equivalent by the DiffOracle's whole-endpoint
 // leg (testing/diff_oracle): identical delivered payloads, identical

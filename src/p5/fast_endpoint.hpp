@@ -3,14 +3,17 @@
 // The full PPP-over-SONET path as whole-frame batch operations with zero
 // per-cycle stepping, built from the kernels the earlier PRs proved out:
 //
-//   TX: SharedMemory ring -> hdlc::encode_batch_into (fused slicing-by-8
-//       FCS + SIMD escape engine, one worst-case reservation per batch)
+//   TX: SharedMemory ring -> hdlc::encode_batch_into (FCS — carry-less
+//       multiply or slicing-by-16 — + SIMD escape engine, one worst-case
+//       reservation per batch)
 //       -> inter-frame flag fill -> x^43+1 self-sync payload scrambler
 //       -> sonet::SonetFramer (pointer generation, B1/B2/B3, table-driven
 //       frame-synchronous scrambler)
 //   RX: sonet::SonetDeframer (alignment recovery, pointer interpretation,
-//       BIP checks) -> self-sync descrambler -> hdlc::Delineator (bulk
-//       flag scan) -> SIMD destuff -> slicing-by-8 FCS residue check
+//       BIP checks; a whole frame in one chunk is deframed in place) ->
+//       self-sync descrambler -> hdlc::Delineator (bulk flag scan; frames
+//       inside one SPE reach the receiver as views, not copies) -> SIMD
+//       destuff -> FCS residue check (carry-less multiply or slicing-by-16)
 //       -> header parse / MAPOS address filter -> SharedMemory ring.
 //
 // It produces and consumes the same SONET chunk byte stream as the
@@ -109,7 +112,6 @@ class FastP5Endpoint final : public SonetEndpoint {
   BytesView tx_wire_;                       ///< current stream source (arena or fill)
   bool tx_wire_is_data_ = false;            ///< tx_wire_ holds frames, not idle fill
   std::size_t tx_head_ = 0;                 ///< consumed prefix of tx_wire_
-  Bytes tx_chunk_;                          ///< scratch for tx_take
 
   // --- RX ---
   std::unique_ptr<sonet::SonetDeframer> deframer_;

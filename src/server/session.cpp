@@ -81,6 +81,9 @@ bool Session::on_chunk(BytesView chunk) {
 
 void Session::reap_and_route() {
   TenantTelemetry& tel = tenant_->telemetry();
+  const u64 ring_drops = ep_->rx_overflow_drops();
+  tel.add_ring_dropped(ring_drops - ring_drops_booked_);
+  ring_drops_booked_ = ring_drops;
   while (auto d = ep_->reap_datagram()) {
     const std::size_t bytes = d->payload.size();
     tel.on_dgram_in(bytes);

@@ -11,7 +11,10 @@
 // no tenant, then the tenant policer, then endpoint.push_line(); after the
 // whole burst is in the deframer, one drain_rx() + reap that dispositions
 // every decoded datagram (echo / uplink handoff / sink — see RouteMode).
-// Batched or not, per-chunk decisions and dispositions are identical.
+// Batched or not, per-chunk decisions and dispositions are identical. A
+// burst that decodes more datagrams than the endpoint's RX ring holds loses
+// the excess there; the session books that loss against the tenant after
+// the reap (TenantSnapshot::dgrams_ring_dropped).
 // TX path per slice: the tx_pending()-gated, 2-frame-linger paced pull the
 // Tunnel binding uses, into the conn until its watermark pushes back.
 //
@@ -100,6 +103,7 @@ class Session {
   bool dead_ = false;
   bool global_slot_held_ = false;
   unsigned tx_linger_ = 0;  ///< trailing frames after tx_pending() clears
+  u64 ring_drops_booked_ = 0;  ///< ep_->rx_overflow_drops() already booked
 };
 
 }  // namespace p5::server

@@ -14,6 +14,7 @@ TenantSnapshot& TenantSnapshot::operator+=(const TenantSnapshot& o) {
   dgrams_sunk += o.dgrams_sunk;
   bytes_sunk += o.bytes_sunk;
   dgrams_lost += o.dgrams_lost;
+  dgrams_ring_dropped += o.dgrams_ring_dropped;
   sessions_admitted += o.sessions_admitted;
   sessions_rejected += o.sessions_rejected;
   sessions_closed += o.sessions_closed;
@@ -33,6 +34,7 @@ TenantSnapshot TenantTelemetry::read_once() const {
   s.dgrams_sunk = dgrams_sunk_.load(std::memory_order_relaxed);
   s.bytes_sunk = bytes_sunk_.load(std::memory_order_relaxed);
   s.dgrams_lost = dgrams_lost_.load(std::memory_order_relaxed);
+  s.dgrams_ring_dropped = dgrams_ring_dropped_.load(std::memory_order_relaxed);
   s.sessions_admitted = sessions_admitted_.load(std::memory_order_relaxed);
   s.sessions_rejected = sessions_rejected_.load(std::memory_order_relaxed);
   s.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);

@@ -54,6 +54,10 @@ struct TenantSnapshot {
   u64 dgrams_sunk = 0;  ///< consumed by the sink route
   u64 bytes_sunk = 0;
   u64 dgrams_lost = 0;  ///< dropped: echo-full / handoff-full / stage-full
+  /// Decoded by this tenant's endpoints but dropped at the device RX ring
+  /// (shared-memory overflow) before the session reaped them. Never part of
+  /// dgrams_in, so outside the ledger: the loss the ledger cannot see.
+  u64 dgrams_ring_dropped = 0;
 
   // Admission and policing.
   u64 sessions_admitted = 0;
@@ -96,6 +100,9 @@ class TenantTelemetry {
   void add_dgrams_lost(u64 n) {
     if (n) dgrams_lost_.fetch_add(n, std::memory_order_relaxed);
   }
+  void add_ring_dropped(u64 n) {
+    if (n) dgrams_ring_dropped_.fetch_add(n, std::memory_order_relaxed);
+  }
   void on_admitted() { sessions_admitted_.fetch_add(1, std::memory_order_relaxed); }
   void on_rejected() { sessions_rejected_.fetch_add(1, std::memory_order_relaxed); }
   void on_session_closed() { sessions_closed_.fetch_add(1, std::memory_order_relaxed); }
@@ -115,6 +122,7 @@ class TenantTelemetry {
   std::atomic<u64> dgrams_uplinked_{0}, bytes_uplinked_{0};
   std::atomic<u64> dgrams_sunk_{0}, bytes_sunk_{0};
   std::atomic<u64> dgrams_lost_{0};
+  std::atomic<u64> dgrams_ring_dropped_{0};
   std::atomic<u64> sessions_admitted_{0}, sessions_rejected_{0}, sessions_closed_{0};
   std::atomic<u64> chunks_policed_{0}, bytes_policed_{0};
 };

@@ -53,22 +53,27 @@ u8 FrameScrambler::next_keystream() {
 }
 
 void FrameScrambler::apply(Bytes& data, std::size_t begin, std::size_t end) {
-  const auto& k = frame_keystream();
-  std::size_t i = begin;
   const std::size_t stop = std::min(end, data.size());
-  std::size_t idx = k.idx_of[state_];
+  if (begin >= stop) return;
+  const auto& k = frame_keystream();
+  const std::size_t pos = k.idx_of[state_];
+  apply_at(pos, data.data() + begin, data.data() + begin, stop - begin);
+  state_ = k.state_of[(pos + stop - begin) % 127];
+}
+
+void FrameScrambler::apply_at(std::size_t pos, u8* out, const u8* in, std::size_t n) {
+  const auto& k = frame_keystream();
+  std::size_t idx = pos % 127;
   // The replicated table is valid for kRun octets from any in-period offset,
   // so each iteration XORs a multi-period contiguous run instead of stopping
   // at the period boundary — one vectorized sweep per ~1 KiB.
-  while (i < stop) {
-    const std::size_t run = std::min<std::size_t>(FrameKeystream::kRun, stop - i);
-    u8* __restrict__ d = data.data() + i;
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t run = std::min<std::size_t>(FrameKeystream::kRun, n - i);
     const u8* __restrict__ s = k.ext.data() + idx;
-    for (std::size_t j = 0; j < run; ++j) d[j] ^= s[j];
+    for (std::size_t j = 0; j < run; ++j) out[i + j] = static_cast<u8>(in[i + j] ^ s[j]);
     i += run;
     idx = (idx + run) % 127;
   }
-  state_ = k.state_of[idx];
 }
 
 Bytes SelfSyncScrambler43::scramble(BytesView data) {

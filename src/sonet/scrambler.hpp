@@ -38,6 +38,11 @@ class FrameScrambler {
   /// XOR a buffer in place with keystream.
   void apply(Bytes& data, std::size_t begin, std::size_t end);
 
+  /// out[i] = in[i] ^ keystream[pos + i] for n octets, where keystream[0] is
+  /// the first octet after reset() — stateless, so a frame's scattered runs
+  /// can be descrambled by their frame positions. `out` may equal `in`.
+  static void apply_at(std::size_t pos, u8* out, const u8* in, std::size_t n);
+
  private:
   u8 state_ = 0x7F;  ///< 7-bit LFSR state
 };

@@ -109,6 +109,15 @@ Bytes SonetFramer::next_frame() {
 SonetDeframer::SonetDeframer(StsSpec spec, std::function<void(BytesView)> payload_sink)
     : spec_(spec), payload_sink_(std::move(payload_sink)) {
   P5_EXPECTS(spec.n % 3 == 0 && spec.n >= 3);
+  const std::size_t cols = spec_.columns();
+  const std::size_t toh = spec_.toh_columns();
+  Bytes ks(spec_.frame_bytes(), 0);  // keystream image of one frame
+  FrameScrambler::apply_at(0, ks.data() + toh, ks.data() + toh, ks.size() - toh);
+  ks_b1_ = ks[kRowB1 * cols];
+  ks_b3_ = ks[kPohB3 * cols + toh];
+  for (std::size_t row = 0; row < kRows; ++row)
+    ks_spe_parity_ ^= bip8(BytesView(ks.data() + row * cols + toh, cols - toh));
+  payload_.resize(spec_.payload_bytes_per_frame());
 }
 
 void SonetDeframer::push(u8 octet) {
@@ -136,10 +145,11 @@ void SonetDeframer::push(u8 octet) {
     if (state_ == State::kHunt) return;
   }
 
-  if (window_.size() >= spec_.frame_bytes()) process_frame();
+  if (window_.size() >= spec_.frame_bytes()) deframe_window();
 }
 
 void SonetDeframer::push(BytesView octets) {
+  const std::size_t frame_bytes = spec_.frame_bytes();
   std::size_t i = 0;
   while (i < octets.size()) {
     if (state_ == State::kHunt) {
@@ -147,24 +157,37 @@ void SonetDeframer::push(BytesView octets) {
       push(octets[i++]);
       continue;
     }
-    // In sync the per-octet path only appends until a whole frame is
-    // buffered: bulk-copy straight to the frame boundary instead.
-    const std::size_t need = spec_.frame_bytes() - window_.size();
-    const std::size_t take = std::min(need, octets.size() - i);
+    if (window_.empty() && octets.size() - i >= frame_bytes) {
+      const BytesView frame = octets.subspan(i, frame_bytes);
+      i += frame_bytes;
+      if (!deframe(frame))
+        for (const u8 b : frame) push(b);  // loss of frame: re-hunt inside it
+      continue;
+    }
+    // A frame straddling the end of the span: buffer up to its boundary.
+    const std::size_t take = std::min(frame_bytes - window_.size(), octets.size() - i);
     window_.insert(window_.end(), octets.begin() + static_cast<std::ptrdiff_t>(i),
                    octets.begin() + static_cast<std::ptrdiff_t>(i + take));
     i += take;
-    if (window_.size() >= spec_.frame_bytes()) process_frame();
+    if (window_.size() >= frame_bytes) deframe_window();
   }
 }
 
-void SonetDeframer::process_frame() {
+void SonetDeframer::deframe_window() {
+  if (deframe(window_)) {
+    window_.clear();
+    return;
+  }
+  Bytes rehunt;  // loss of frame: re-hunt inside the buffered frame
+  rehunt.swap(window_);
+  for (const u8 b : rehunt) push(b);
+}
+
+bool SonetDeframer::deframe(BytesView frame) {
   const std::size_t cols = spec_.columns();
   const std::size_t toh = spec_.toh_columns();
   const std::size_t stuff = spec_.fixed_stuff_columns();
-
-  Bytes frame(window_.begin(), window_.begin() + static_cast<std::ptrdiff_t>(spec_.frame_bytes()));
-  window_.erase(window_.begin(), window_.begin() + static_cast<std::ptrdiff_t>(spec_.frame_bytes()));
+  const std::size_t payload_per_row = spec_.payload_columns();
 
   // Alignment check on every frame; two consecutive misses -> loss of frame.
   bool aligned = true;
@@ -173,46 +196,39 @@ void SonetDeframer::process_frame() {
   if (!aligned) {
     if (++bad_alignments_ >= 2) {
       state_ = State::kHunt;
-      // Re-hunt inside what we already buffered plus this frame.
-      Bytes rehunt = std::move(frame);
-      rehunt.insert(rehunt.end(), window_.begin(), window_.end());
-      window_.clear();
       have_b1_ref_ = false;
-      for (const u8 b : rehunt) push(b);
-      return;
+      return false;
     }
   } else {
     bad_alignments_ = 0;
   }
 
-  // Section BIP check uses the scrambled image.
-  const u8 b1_of_this_frame = bip8(frame);
+  // Both parities from the scrambled image: section BIP over the whole
+  // frame; path BIP over the SPE, i.e. the frame minus each row's TOH.
+  const u8 b1 = bip8(frame);
+  u8 b3 = static_cast<u8>(b1 ^ ks_spe_parity_);
+  for (std::size_t row = 0; row < kRows; ++row) b3 ^= bip8(frame.subspan(row * cols, toh));
 
-  // Descramble (row-0 TOH is never scrambled).
-  FrameScrambler scr;
-  scr.reset();
-  scr.apply(frame, toh, frame.size());
-
-  if (have_b1_ref_ && frame[1 * cols + 0] != expected_b1_) ++stats_.b1_errors;
-  expected_b1_ = b1_of_this_frame;
+  if (have_b1_ref_ && (frame[kRowB1 * cols] ^ ks_b1_) != expected_b1_) ++stats_.b1_errors;
+  expected_b1_ = b1;
   have_b1_ref_ = true;
 
   // Path BIP over this SPE, checked against the *next* frame's B3.
-  if (stats_.frames_in_sync > 0 && frame[1 * cols + toh] != expected_b3_) ++stats_.b3_errors;
-  u8 b3 = 0;
-  for (std::size_t row = 0; row < kRows; ++row)
-    b3 ^= bip8(BytesView(frame.data() + row * cols + toh, cols - toh));
+  if (stats_.frames_in_sync > 0 && (frame[kPohB3 * cols + toh] ^ ks_b3_) != expected_b3_)
+    ++stats_.b3_errors;
   expected_b3_ = b3;
 
-  // Extract the PPP payload stream (one contiguous run per row).
-  const std::size_t payload_per_row = spec_.payload_columns();
-  Bytes payload(spec_.payload_bytes_per_frame());
-  for (std::size_t row = 0; row < kRows; ++row)
-    std::memcpy(payload.data() + row * payload_per_row,
-                frame.data() + row * cols + toh + 1 + stuff, payload_per_row);
+  // Descramble the PPP payload (one contiguous run per row) straight out of
+  // the frame. The keystream starts after row 0's TOH, at the POH column.
+  for (std::size_t row = 0; row < kRows; ++row) {
+    const std::size_t at = row * cols + toh + 1 + stuff;
+    FrameScrambler::apply_at(at - toh, payload_.data() + row * payload_per_row, frame.data() + at,
+                             payload_per_row);
+  }
 
   ++stats_.frames_in_sync;
-  payload_sink_(payload);
+  payload_sink_(payload_);
+  return true;
 }
 
 }  // namespace p5::sonet

@@ -92,8 +92,16 @@ struct DeframerStats {
 /// Recovers frame alignment from a raw octet stream and extracts the PPP
 /// payload. States: HUNT (searching A1...A2 pattern) -> SYNC; two consecutive
 /// bad alignment words drop back to HUNT, modelling SONET's LOF behaviour.
+///
+/// In sync, a frame that lies whole inside one pushed span is deframed where
+/// it lies: parities over the scrambled octets, then one descrambling copy of
+/// the payload rows into a reused buffer. Only frames that straddle a push
+/// boundary are assembled in a window first; both paths give identical
+/// payloads and stats.
 class SonetDeframer {
  public:
+  /// `payload_sink` receives each frame's descrambled payload; the view is
+  /// valid for the duration of the call.
   SonetDeframer(StsSpec spec, std::function<void(BytesView)> payload_sink);
 
   void push(BytesView octets);
@@ -103,19 +111,32 @@ class SonetDeframer {
   [[nodiscard]] const DeframerStats& stats() const { return stats_; }
 
  private:
-  void process_frame();
+  /// Check and unload one scrambled frame. False when it costs the second
+  /// consecutive alignment miss: the deframer is back in HUNT and the caller
+  /// re-hunts inside the frame's octets.
+  bool deframe(BytesView frame);
+  /// deframe() the frame assembled in window_.
+  void deframe_window();
 
   enum class State : u8 { kHunt, kSync };
 
   StsSpec spec_;
   std::function<void(BytesView)> payload_sink_;
   State state_ = State::kHunt;
-  Bytes window_;            ///< accumulating candidate frame
+  Bytes window_;            ///< a frame straddling push boundaries, or the hunt window
+  Bytes payload_;           ///< descrambled payload of the current frame
   bool ever_synced_ = false;
   unsigned bad_alignments_ = 0;
   u8 expected_b1_ = 0;
   u8 expected_b3_ = 0;
   bool have_b1_ref_ = false;
+  // The frame scrambler restarts every frame, so its keystream is a fixed
+  // image of frame positions: the overhead octets the checks read are
+  // descrambled with one xor each, and B3 over the descrambled SPE is the
+  // scrambled SPE's parity xor the keystream's.
+  u8 ks_b1_ = 0;            ///< keystream octet over B1
+  u8 ks_b3_ = 0;            ///< keystream octet over B3
+  u8 ks_spe_parity_ = 0;    ///< BIP-8 of the keystream over the SPE columns
   DeframerStats stats_;
 };
 

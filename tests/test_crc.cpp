@@ -1,7 +1,12 @@
 // CRC substrate tests: GF(2) algebra, bitwise/table/parallel agreement for
-// every datapath width, and the RFC 1662 residue ("good FCS") properties
+// every datapath width, the dispatched FCS-32 kernel (carry-less multiply
+// on x86-64 hosts with PCLMULQDQ) against the slicing tables and the
+// bit-serial golden model, and the RFC 1662 residue ("good FCS") properties
 // the P5 receiver's frame check relies on.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "crc/crc_reference.hpp"
@@ -161,6 +166,75 @@ TEST(TableCrc, IncrementalEqualsWhole) {
     state = fcs32().update(state, BytesView(data).subspan(i, n));
   }
   EXPECT_EQ(state ^ kFcs32.xorout, fcs32().crc(data));
+}
+
+// ---- dispatched FCS-32: carry-less multiply where the host has it ----
+
+TEST(DispatchedFcs32, ReportsItsKernel) {
+  const char* kernel = fcs32().slicer().kernel();
+  std::printf("FCS-32 kernel dispatched on this host: %s\n", kernel);
+#if defined(P5_FORCE_SCALAR) || !defined(__x86_64__)
+  EXPECT_STREQ(kernel, "slice16");
+#else
+  EXPECT_TRUE(std::strcmp(kernel, "clmul") == 0 || std::strcmp(kernel, "slice16") == 0) << kernel;
+#endif
+  EXPECT_STREQ(fcs16().slicer().kernel(), "slice16");
+}
+
+TEST(DispatchedFcs32, MatchesSlicingAndBitwiseAtEveryLengthAndOffset) {
+  // Every length 0..1100 at every start offset 0..15 crosses the dispatch
+  // threshold, each 16-octet fold count and every tail length; the register
+  // starts from a seeded random value, not just the init.
+  Xoshiro256 rng(41);
+  const Bytes data = rng.bytes(1100 + 16);
+  const fastpath::SliceCrc& s = fcs32().slicer();
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const BytesView v = BytesView(data).subspan(off, len);
+      const u32 state = static_cast<u32>(rng.next());
+      const u32 tables = s.update_tables(state, v);
+      ASSERT_EQ(s.update(state, v), tables) << "offset " << off << " length " << len;
+      ASSERT_EQ(bitwise_update(kFcs32, state, v), tables) << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(DispatchedFcs32, MatchesSlicingAndBitwiseOn64KiB) {
+  Xoshiro256 rng(42);
+  const Bytes data = rng.bytes(64 * 1024 + 16);
+  const fastpath::SliceCrc& s = fcs32().slicer();
+  for (std::size_t off = 0; off < 16; ++off) {
+    const BytesView v = BytesView(data).subspan(off, 64 * 1024);
+    const u32 state = static_cast<u32>(rng.next());
+    const u32 tables = s.update_tables(state, v);
+    EXPECT_EQ(s.update(state, v), tables) << "offset " << off;
+    EXPECT_EQ(bitwise_update(kFcs32, state, v), tables) << "offset " << off;
+  }
+}
+
+TEST(DispatchedFcs32, KnownAnswers) {
+  const Bytes check{'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(fcs32().crc(check), 0xCBF43926u);
+  // Long enough for the folding kernel (values from an independent CRC-32).
+  Bytes nines;
+  for (int i = 0; i < 8; ++i) append(nines, check);
+  EXPECT_EQ(fcs32().crc(nines), 0x8811A440u);
+  Bytes ramp(1024);
+  for (std::size_t i = 0; i < ramp.size(); ++i) ramp[i] = static_cast<u8>(i);
+  EXPECT_EQ(fcs32().crc(ramp), 0xB70B4C26u);
+}
+
+TEST(DispatchedFcs32, SealedFramesLeaveTheResidue) {
+  Xoshiro256 rng(43);
+  for (std::size_t len = 1; len <= 1100; len += 7) {
+    Bytes frame = rng.bytes(len);
+    const u32 fcs = fcs32().crc(frame);
+    for (int i = 0; i < 4; ++i) frame.push_back(static_cast<u8>(fcs >> (8 * i)));
+    EXPECT_EQ(fcs32().update(kFcs32.init, frame), 0xDEBB20E3u) << "length " << len;
+    EXPECT_TRUE(fcs32().check(frame));
+    frame[rng.below(frame.size())] ^= static_cast<u8>(1u << rng.below(8));
+    EXPECT_FALSE(fcs32().check(frame)) << "length " << len;
+  }
 }
 
 // ---- parallel matrix CRC: the P5 CRC core ----

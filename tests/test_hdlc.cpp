@@ -3,6 +3,8 @@
 // delineation state machine.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/rng.hpp"
 #include "hdlc/accm.hpp"
 #include "hdlc/delineation.hpp"
@@ -323,6 +325,93 @@ TEST(Delineation, RecoversAfterCorruption) {
   });
   d.push(stream);
   EXPECT_EQ(good, 1);  // the clean frame still gets through
+}
+
+/// Everything a Delineator hands out: each sink call's frame and the stats,
+/// plus how many frames arrived as views into the pushed stream itself.
+struct DelineatorRun {
+  std::vector<Bytes> frames;
+  DelineatorStats stats;
+  std::size_t in_span = 0;
+};
+
+TEST(Delineation, SplitInvariance) {
+  // Fill, an abort (7D 7E), runts, garbage before the first flag, and frames
+  // of exactly max_frame and max_frame + 1 octets, pushed whole, one octet
+  // at a time and at seeded random split points: the same frames reach the
+  // sink and the stats agree, whichever path (in-span view or accumulated
+  // copy) each frame took.
+  constexpr std::size_t kMax = 96;
+  Xoshiro256 rng(77);
+  const auto body = [&](std::size_t n) {
+    Bytes b;
+    while (b.size() < n) {
+      const u8 o = rng.byte();
+      if (o != kFlag && o != kEscape) b.push_back(o);
+    }
+    return b;
+  };
+  Bytes stream = body(9);  // garbage before the first flag
+  for (int round = 0; round < 6; ++round) {
+    stream.insert(stream.end(), 1 + rng.below(40), kFlag);  // fill, often a word or more
+    append(stream, body(kMax));
+    stream.push_back(kFlag);
+    append(stream, body(kMax + 1));  // oversize
+    stream.push_back(kFlag);
+    append(stream, body(1 + rng.below(3)));  // runt
+    stream.push_back(kFlag);
+    append(stream, body(10 + rng.below(40)));
+    stream.push_back(kEscape);  // abort
+    stream.push_back(kFlag);
+    for (int f = 0; f < 4; ++f) {
+      append(stream, body(4 + rng.below(kMax - 4)));
+      stream.push_back(kFlag);
+    }
+  }
+  append(stream, body(20));  // left open at the end
+
+  const auto in_stream = [&](const u8* p) {
+    const std::less<const u8*> before;
+    return !before(p, stream.data()) && before(p, stream.data() + stream.size());
+  };
+  const auto run = [&](auto&& feed) {
+    DelineatorRun r;
+    Delineator d([&](BytesView f) {
+      r.frames.emplace_back(f.begin(), f.end());
+      if (in_stream(f.data())) ++r.in_span;
+    }, 4, kMax);
+    feed(d);
+    r.stats = d.stats();
+    return r;
+  };
+  const DelineatorRun whole = run([&](Delineator& d) { d.push(stream); });
+  const DelineatorRun octets = run([&](Delineator& d) {
+    for (const u8 b : stream) d.push(b);
+  });
+  const DelineatorRun split = run([&](Delineator& d) {
+    Xoshiro256 cut(78);
+    for (std::size_t i = 0; i < stream.size();) {
+      const std::size_t n = std::min<std::size_t>(cut.below(2 * kMax), stream.size() - i);
+      d.push(BytesView(stream).subspan(i, n));
+      i += n;
+    }
+  });
+
+  EXPECT_EQ(whole.stats, octets.stats);
+  EXPECT_EQ(split.stats, octets.stats);
+  EXPECT_EQ(whole.frames, octets.frames);
+  EXPECT_EQ(split.frames, octets.frames);
+  EXPECT_EQ(octets.stats.frames, 6u * 5u);
+  EXPECT_EQ(octets.stats.oversize, 6u);
+  EXPECT_EQ(octets.stats.runts, 6u);
+  EXPECT_EQ(octets.stats.aborts, 6u);
+  EXPECT_EQ(octets.stats.octets, stream.size());
+  // Pushed whole, every frame lies inside the span and is handed out as a
+  // view of it; octet by octet, every frame is accumulated; split pushes mix.
+  EXPECT_EQ(whole.in_span, whole.frames.size());
+  EXPECT_EQ(octets.in_span, 0u);
+  EXPECT_GT(split.in_span, 0u);
+  EXPECT_LT(split.in_span, split.frames.size());
 }
 
 }  // namespace

@@ -105,10 +105,8 @@ Fd raw_connect(u16 port) {
   return fd;
 }
 
-void raw_send_chunk(int fd, BytesView payload) {
-  Bytes buf;
-  put_be32(buf, static_cast<u32>(payload.size()));
-  append(buf, payload);
+/// Write `buf` whole (already chunk-framed), retrying short writes.
+void raw_send(int fd, BytesView buf) {
   std::size_t off = 0;
   while (off < buf.size()) {
     const ssize_t n = ::send(fd, buf.data() + off, buf.size() - off, 0);
@@ -120,6 +118,18 @@ void raw_send_chunk(int fd, BytesView payload) {
       return;  // peer closed us; the test asserts on the server's counters
     }
   }
+}
+
+/// Append one length-prefixed chunk to `buf` (the stream framing).
+void frame_chunk(Bytes& buf, BytesView payload) {
+  put_be32(buf, static_cast<u32>(payload.size()));
+  append(buf, payload);
+}
+
+void raw_send_chunk(int fd, BytesView payload) {
+  Bytes buf;
+  frame_chunk(buf, payload);
+  raw_send(fd, buf);
 }
 
 /// True when the peer has closed (EOF observed); false while still open.
@@ -295,6 +305,62 @@ TEST(ServerUplink, StagingOverflowIsCountedLostNeverSilent) {
   EXPECT_EQ(t.dgrams_uplinked, 0u);  // the 1-byte budget never covers a frame
   EXPECT_EQ(t.dgrams_lost, kSent);   // overflowed staging + flushed residue
   EXPECT_TRUE(t.ledger_exact());
+}
+
+TEST(ServerBooks, DeviceRxRingDropsAreBookedAgainstTheTenant) {
+  // One burst decodes more datagrams than the endpoint's 64-entry RX ring
+  // holds before the session reaps: the overflow shows in the tenant's
+  // books as dgrams_ring_dropped, while dgrams_in and the ledger keep
+  // meaning what was reaped.
+  ServerConfig cfg;
+  cfg.shards = 1;
+  cfg.listeners = {{0, 12u}};
+  cfg.route = RouteMode::kSink;
+  TunnelServer srv(cfg);
+  srv.enable_manual_time();
+  ASSERT_TRUE(srv.start());
+
+  // The whole burst, pre-encoded: idle fill around 200 datagrams, so the
+  // far deframer and descrambler lock on inside flags.
+  constexpr u64 kOffered = 200;
+  auto enc = core::make_sonet_endpoint(core::DeviceTier::kFast, {}, sonet::kSts3c);
+  Bytes burst;
+  const auto add_chunk = [&] { frame_chunk(burst, enc->pull_frame()); };
+  add_chunk();
+  add_chunk();
+  Xoshiro256 rng(12);
+  for (u32 s = 0; s < kOffered; ++s) {
+    while (!enc->tx_has_room(100)) add_chunk();
+    ASSERT_TRUE(enc->submit_datagram(0x0021, stamped_payload(0, s, 100, rng)));
+  }
+  while (enc->tx_pending()) add_chunk();
+  add_chunk();
+  add_chunk();
+  ASSERT_LT(burst.size(), 64u * 1024);  // one read slice: one burst
+
+  Fd fd = raw_connect(srv.port());
+  for (int g = 0; g < 100; ++g) {
+    srv.step();
+    srv.advance_time(1);
+  }
+  ASSERT_EQ(srv.sessions_active(), 1u);
+  raw_send(fd.get(), burst);
+  for (int g = 0; g < 300; ++g) {
+    srv.step();
+    srv.advance_time(1);
+  }
+
+  u64 device_drops = 0;
+  srv.shard(0).for_each_session(
+      [&](Session& s) { device_drops += s.endpoint()->rx_overflow_drops(); });
+  const TenantSnapshot t = srv.tenant_stats(12);
+  EXPECT_GT(t.dgrams_ring_dropped, 0u);
+  EXPECT_EQ(t.dgrams_ring_dropped, device_drops);
+  EXPECT_EQ(t.dgrams_in + t.dgrams_ring_dropped, kOffered);
+  EXPECT_EQ(t.dgrams_sunk, t.dgrams_in);
+  EXPECT_TRUE(t.ledger_exact());
+  EXPECT_EQ(srv.tenant_aggregate().dgrams_ring_dropped, t.dgrams_ring_dropped);
+  srv.stop();
 }
 
 // ----------------------------------------------------------- admission

@@ -233,6 +233,65 @@ TEST(Sonet, Sts12cRoundTrip) {
   EXPECT_EQ(received, src.sent_);
 }
 
+TEST(Sonet, DeframerSplitInvariance) {
+  // A scrambled line with a garbage prefix, one frame with a corrupted
+  // payload octet (B1 and B3 errors) and two consecutive frames with a bad
+  // A1/A2 word (loss of frame, re-hunt, resync), pushed whole, one octet at
+  // a time and at seeded random split points: identical payloads, identical
+  // stats. Whole and large pushes deframe in place; straddling frames go
+  // through the window.
+  PatternSource src(16);
+  SonetFramer framer(kSts3c, [&src](std::size_t n) { return src(n); });
+  Xoshiro256 rng(17);
+  Bytes line = rng.bytes(1000);
+  for (int f = 0; f < 12; ++f) {
+    Bytes frame = framer.next_frame();
+    if (f == 3) frame[700] ^= 0x21;
+    if (f == 6 || f == 7) frame[1] ^= 0xFF;  // A1
+    append(line, frame);
+  }
+  struct Run {
+    std::vector<Bytes> payloads;
+    DeframerStats stats;
+  };
+  const auto run = [&](auto&& feed) {
+    Run r;
+    SonetDeframer d(kSts3c, [&r](BytesView p) { r.payloads.emplace_back(p.begin(), p.end()); });
+    feed(d);
+    r.stats = d.stats();
+    return r;
+  };
+  const Run whole = run([&](SonetDeframer& d) { d.push(line); });
+  const Run octets = run([&](SonetDeframer& d) {
+    for (const u8 b : line) d.push(b);
+  });
+  const Run split = run([&](SonetDeframer& d) {
+    Xoshiro256 cut(18);
+    for (std::size_t i = 0; i < line.size();) {
+      const std::size_t n =
+          std::min<std::size_t>(cut.below(3 * kSts3c.frame_bytes()), line.size() - i);
+      d.push(BytesView(line).subspan(i, n));
+      i += n;
+    }
+  });
+
+  EXPECT_EQ(whole.stats, octets.stats);
+  EXPECT_EQ(split.stats, octets.stats);
+  EXPECT_EQ(whole.payloads, octets.payloads);
+  EXPECT_EQ(split.payloads, octets.payloads);
+  EXPECT_GT(octets.stats.discarded_octets, 1000u);
+  EXPECT_EQ(octets.stats.resyncs, 1u);
+  EXPECT_GE(octets.stats.b1_errors, 1u);
+  EXPECT_GE(octets.stats.b3_errors, 1u);
+  // Frames 0..6 before the loss of frame (the first bad A1/A2 still
+  // delivers), then 8..11 after the resync.
+  EXPECT_EQ(octets.stats.frames_in_sync, 11u);
+  ASSERT_EQ(octets.payloads.size(), 11u);
+  const std::size_t per = kSts3c.payload_bytes_per_frame();
+  EXPECT_EQ(octets.payloads[0], Bytes(src.sent_.begin(), src.sent_.begin() + per));
+  EXPECT_EQ(octets.payloads[10], Bytes(src.sent_.end() - per, src.sent_.end()));
+}
+
 // ---- line model ----
 
 TEST(Line, NoErrorsAtZeroBer) {
