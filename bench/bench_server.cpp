@@ -214,7 +214,7 @@ Row bench_goodput(std::size_t shards, std::size_t conns, double target_seconds,
   r.payload_bytes = ts.bytes_in;
   r.wall_seconds = std::chrono::duration<double>(t_last - t0).count();
   r.mb_s = r.wall_seconds > 0.0 ? static_cast<double>(ts.bytes_in) / 1e6 / r.wall_seconds : 0.0;
-  r.ledger_ok = ts.ledger_exact() && xs.frames_in == xs.frames_out + xs.frames_lost;
+  r.ledger_ok = ts.ledger_exact() && xs.ledger_exact();
   r.set_io(xs);
   if (!r.ledger_ok) {
     std::fprintf(stderr, "bench_server: LEDGER VIOLATION in %s\n", r.kernel.c_str());
@@ -301,8 +301,7 @@ Row bench_churn(std::size_t total, std::size_t concurrency, const std::vector<By
   r.wall_seconds = wall;
   r.conns_per_s = wall > 0.0 ? static_cast<double>(launched) / wall : 0.0;
   r.has_goodput = false;
-  r.ledger_ok = ts.ledger_exact() && xs.frames_in == xs.frames_out + xs.frames_lost &&
-                srv.sessions_active() == 0;
+  r.ledger_ok = ts.ledger_exact() && xs.ledger_exact() && srv.sessions_active() == 0;
   r.set_io(xs);
   if (!r.ledger_ok) {
     std::fprintf(stderr,

@@ -304,8 +304,7 @@ PcapRow bench_pcap_pair(bool udp, core::DeviceTier tier, double target_seconds) 
   // The acceptance gate: the transport's chunk ledger must balance exactly
   // on both tunnels (TCP never loses; UDP losses must be *accounted*).
   const TransportSnapshot sa = tun_a.stats(), sb = tun_b.stats();
-  r.ledger_ok = sa.frames_in == sa.frames_out + sa.frames_lost &&
-                sb.frames_in == sb.frames_out + sb.frames_lost;
+  r.ledger_ok = sa.ledger_exact() && sb.ledger_exact();
   return r;
 }
 

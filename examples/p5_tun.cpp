@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
 
   const auto& b = bridge.stats();
   const auto s = tunnel.stats();
-  const bool invariant = s.frames_in == s.frames_out + s.frames_lost;
+  const bool invariant = s.ledger_exact();
   std::printf("\nfinal: kernel→p5 %llu pkts, p5→kernel %llu pkts, chunk invariant %s"
               " (in=%llu out=%llu lost=%llu)\n",
               static_cast<unsigned long long>(b.tun_rx_packets),

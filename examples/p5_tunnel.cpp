@@ -321,7 +321,7 @@ int main(int argc, char** argv) {
   for (unsigned i = 0; i < lanes.size(); ++i) {
     const auto& l = *lanes[i];
     const auto s = l.tun->stats();
-    const bool invariant = s.frames_in == s.frames_out + s.frames_lost;
+    const bool invariant = s.ledger_exact();
     const bool hashes = opt.frames == 0 || l.reaped == 0 || l.hash_in == l.hash_out;
     ok = ok && invariant;
     std::printf("[ch%u tier=%s] dgrams out=%llu back=%llu  hash %s  chunk invariant %s"

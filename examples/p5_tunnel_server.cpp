@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
                 exact ? "EXACT" : "VIOLATED");
   }
   const auto xs = srv.transport_stats();
-  const bool chunk_ok = xs.frames_in == xs.frames_out + xs.frames_lost;
+  const bool chunk_ok = xs.ledger_exact();
   ok = ok && chunk_ok;
   std::printf("[chunks] in=%llu out=%llu lost=%llu rcvd=%llu | ledger %s\n",
               static_cast<unsigned long long>(xs.frames_in),

@@ -133,9 +133,10 @@ if want tsan; then
   cmake -B build-tsan -S . -DP5_SANITIZE=thread
   cmake --build build-tsan -j
   # TSan's value is the threaded runtime; run the suites that spin threads
-  # (including the sharded broker storm) plus the whole fault label (cheap,
-  # and proves the harness is race-free).
-  (cd build-tsan && ctest -R 'LineCard|SpscRing|SharedMemory|Transport|Server|Broker|Capture|Tun|Replay|Pcap|TraceGen' --output-on-failure -j)
+  # (including the sharded broker storm and the counter block's
+  # snapshot-during-writes case) plus the whole fault label (cheap, and
+  # proves the harness is race-free).
+  (cd build-tsan && ctest -R 'LineCard|SpscRing|SharedMemory|Transport|Server|Broker|Capture|Tun|Replay|Pcap|TraceGen|CounterBlock' --output-on-failure -j)
   (cd build-tsan && ctest -L fault --output-on-failure -j)
 fi
 

@@ -1,18 +1,18 @@
 // Per-channel line-card telemetry: the counters an operator's SNMP poll or a
-// bench harness wants, updated from the channel's worker thread with relaxed
-// atomics (each counter has exactly one writer) and read from any thread via
-// a stabilising double-read snapshot.
+// bench harness wants, updated from the channel's worker thread (each counter
+// has exactly one writer) and read from any thread. Updates, snapshot and
+// merge follow the one counter model in common/counters.hpp.
 //
 // Each channel's counter block is cache-line aligned and padded so two
 // workers hammering their own counters never share a line (the same false-
 // sharing discipline as the SPSC ring indices).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/types.hpp"
 #include "linecard/spsc_ring.hpp"
 
@@ -43,60 +43,51 @@ struct ChannelSnapshot {
   ChannelSnapshot& operator+=(const ChannelSnapshot& o);
 };
 
+/// ChannelSnapshot's live mirror; the two occupancy high-water marks merge by
+/// max (common/counters.hpp).
+using ChannelCounters =
+    CounterBlock<ChannelSnapshot, &ChannelSnapshot::ingress_hwm, &ChannelSnapshot::egress_hwm>;
+
+inline ChannelSnapshot& ChannelSnapshot::operator+=(const ChannelSnapshot& o) {
+  return ChannelCounters::merge(*this, o);
+}
+
 /// Live counters for one channel. Single writer (the channel's worker),
 /// any number of readers.
 class alignas(kCacheLineBytes) ChannelTelemetry {
+  using S = ChannelSnapshot;
+
  public:
   void on_ingress(std::size_t payload_bytes) {
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
-    bytes_in_.fetch_add(payload_bytes, std::memory_order_relaxed);
+    c_.add<&S::frames_in>(1);
+    c_.add<&S::bytes_in>(payload_bytes);
   }
   void on_egress(std::size_t payload_bytes) {
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
-    bytes_out_.fetch_add(payload_bytes, std::memory_order_relaxed);
+    c_.add<&S::frames_out>(1);
+    c_.add<&S::bytes_out>(payload_bytes);
   }
   void add_fcs_errors(u64 n) {
-    if (n) fcs_errors_.fetch_add(n, std::memory_order_relaxed);
+    if (n) c_.add<&S::fcs_errors>(n);
   }
   void add_frames_lost(u64 n) {
-    if (n) frames_lost_.fetch_add(n, std::memory_order_relaxed);
+    if (n) c_.add<&S::frames_lost>(n);
   }
-  void ring_full_stall() { ring_full_stalls_.fetch_add(1, std::memory_order_relaxed); }
-  void note_ingress_depth(std::size_t depth) { raise(ingress_hwm_, depth); }
-  void note_egress_depth(std::size_t depth) { raise(egress_hwm_, depth); }
+  void ring_full_stall() { c_.add<&S::ring_full_stalls>(1); }
+  void note_ingress_depth(std::size_t depth) { c_.raise<&S::ingress_hwm>(depth); }
+  void note_egress_depth(std::size_t depth) { c_.raise<&S::egress_hwm>(depth); }
   /// Mirror the fabric arena engine's cumulative tier counters (stores, not
   /// adds: the engine already accumulates; single writer = fabric context).
   void set_escape_tiers(u64 scalar, u64 swar, u64 simd) {
-    escape_scalar_.store(scalar, std::memory_order_relaxed);
-    escape_swar_.store(swar, std::memory_order_relaxed);
-    escape_simd_.store(simd, std::memory_order_relaxed);
+    c_.store<&S::escape_scalar>(scalar);
+    c_.store<&S::escape_swar>(swar);
+    c_.store<&S::escape_simd>(simd);
   }
 
-  /// Consistent point-in-time copy: reads the block twice until two
-  /// consecutive reads agree (bounded retries; the counters are monotonic,
-  /// so even the fallback is a valid momentary mixture, never garbage).
-  [[nodiscard]] ChannelSnapshot snapshot() const;
+  /// Consistent point-in-time copy (common/counters.hpp).
+  [[nodiscard]] ChannelSnapshot snapshot() const { return c_.snapshot(); }
 
  private:
-  static void raise(std::atomic<u64>& hwm, u64 v) {
-    u64 cur = hwm.load(std::memory_order_relaxed);
-    while (v > cur && !hwm.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  [[nodiscard]] ChannelSnapshot read_once() const;
-
-  std::atomic<u64> frames_in_{0};
-  std::atomic<u64> frames_out_{0};
-  std::atomic<u64> bytes_in_{0};
-  std::atomic<u64> bytes_out_{0};
-  std::atomic<u64> fcs_errors_{0};
-  std::atomic<u64> frames_lost_{0};
-  std::atomic<u64> ring_full_stalls_{0};
-  std::atomic<u64> ingress_hwm_{0};
-  std::atomic<u64> egress_hwm_{0};
-  std::atomic<u64> escape_scalar_{0};
-  std::atomic<u64> escape_swar_{0};
-  std::atomic<u64> escape_simd_{0};
+  ChannelCounters c_;
 };
 
 /// The line card's counter file: one padded block per channel plus an

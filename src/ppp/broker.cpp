@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/check.hpp"
+#include "common/counters.hpp"
 #include "common/rng.hpp"
 
 namespace p5::ppp::broker {
@@ -19,14 +20,7 @@ const char* to_string(Outcome o) {
 }
 
 SessionLedger& SessionLedger::operator+=(const SessionLedger& o) {
-  started += o.started;
-  negotiated += o.negotiated;
-  failed += o.failed;
-  abandoned += o.abandoned;
-  rejected_half_open += o.rejected_half_open;
-  renegotiations += o.renegotiations;
-  auth_failures += o.auth_failures;
-  return *this;
+  return CounterBlock<SessionLedger>::merge(*this, o);
 }
 
 SessionBroker::SessionBroker(BrokerConfig cfg) : cfg_(std::move(cfg)) {}

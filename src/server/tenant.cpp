@@ -4,55 +4,6 @@
 
 namespace p5::server {
 
-TenantSnapshot& TenantSnapshot::operator+=(const TenantSnapshot& o) {
-  dgrams_in += o.dgrams_in;
-  bytes_in += o.bytes_in;
-  dgrams_echoed += o.dgrams_echoed;
-  bytes_echoed += o.bytes_echoed;
-  dgrams_uplinked += o.dgrams_uplinked;
-  bytes_uplinked += o.bytes_uplinked;
-  dgrams_sunk += o.dgrams_sunk;
-  bytes_sunk += o.bytes_sunk;
-  dgrams_lost += o.dgrams_lost;
-  dgrams_ring_dropped += o.dgrams_ring_dropped;
-  sessions_admitted += o.sessions_admitted;
-  sessions_rejected += o.sessions_rejected;
-  sessions_closed += o.sessions_closed;
-  chunks_policed += o.chunks_policed;
-  bytes_policed += o.bytes_policed;
-  return *this;
-}
-
-TenantSnapshot TenantTelemetry::read_once() const {
-  TenantSnapshot s;
-  s.dgrams_in = dgrams_in_.load(std::memory_order_relaxed);
-  s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  s.dgrams_echoed = dgrams_echoed_.load(std::memory_order_relaxed);
-  s.bytes_echoed = bytes_echoed_.load(std::memory_order_relaxed);
-  s.dgrams_uplinked = dgrams_uplinked_.load(std::memory_order_relaxed);
-  s.bytes_uplinked = bytes_uplinked_.load(std::memory_order_relaxed);
-  s.dgrams_sunk = dgrams_sunk_.load(std::memory_order_relaxed);
-  s.bytes_sunk = bytes_sunk_.load(std::memory_order_relaxed);
-  s.dgrams_lost = dgrams_lost_.load(std::memory_order_relaxed);
-  s.dgrams_ring_dropped = dgrams_ring_dropped_.load(std::memory_order_relaxed);
-  s.sessions_admitted = sessions_admitted_.load(std::memory_order_relaxed);
-  s.sessions_rejected = sessions_rejected_.load(std::memory_order_relaxed);
-  s.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);
-  s.chunks_policed = chunks_policed_.load(std::memory_order_relaxed);
-  s.bytes_policed = bytes_policed_.load(std::memory_order_relaxed);
-  return s;
-}
-
-TenantSnapshot TenantTelemetry::snapshot() const {
-  TenantSnapshot prev = read_once();
-  for (int i = 0; i < 4; ++i) {
-    TenantSnapshot cur = read_once();
-    if (cur == prev) return cur;
-    prev = cur;
-  }
-  return prev;  // monotonic counters: still a valid momentary mixture
-}
-
 bool TenantState::try_acquire_session() {
   if (cfg_.max_sessions == 0) {
     active_.fetch_add(1, std::memory_order_relaxed);

@@ -10,11 +10,10 @@
 //     from the observing shard's clock so deterministic manual-time tests
 //     police byte-exactly.
 //
-// Telemetry follows the repo's snapshot discipline but is *multi-writer*:
-// one tenant's sessions live on several shards, so the counters are plain
-// fetch_add atomics and the snapshot uses the same stabilising double read
-// as TransportTelemetry. The ledger tracked here is datagram-granular,
-// one level above the transport chunk ledger:
+// Telemetry follows the one counter model (common/counters.hpp) and is
+// *multi-writer*: one tenant's sessions live on several shards, which the
+// model's fetch_add updates keep exact. The ledger tracked here is
+// datagram-granular, one level above the transport chunk ledger:
 //
 //     dgrams_in == dgrams_echoed + dgrams_uplinked + dgrams_sunk
 //                  + dgrams_lost          (+ dgrams still staged in flight)
@@ -30,6 +29,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/types.hpp"
 
 namespace p5::server {
@@ -77,54 +77,55 @@ struct TenantSnapshot {
   TenantSnapshot& operator+=(const TenantSnapshot& o);
 };
 
+/// TenantSnapshot's live mirror; every field is a flow counter, so merges sum
+/// (common/counters.hpp).
+using TenantCounters = CounterBlock<TenantSnapshot>;
+
+inline TenantSnapshot& TenantSnapshot::operator+=(const TenantSnapshot& o) {
+  return TenantCounters::merge(*this, o);
+}
+
 /// Live counters for one tenant. Multi-writer (sessions on any shard),
 /// any number of readers.
 class TenantTelemetry {
+  using S = TenantSnapshot;
+
  public:
   void on_dgram_in(std::size_t bytes) {
-    dgrams_in_.fetch_add(1, std::memory_order_relaxed);
-    bytes_in_.fetch_add(bytes, std::memory_order_relaxed);
+    c_.add<&S::dgrams_in>(1);
+    c_.add<&S::bytes_in>(bytes);
   }
   void on_echoed(std::size_t bytes) {
-    dgrams_echoed_.fetch_add(1, std::memory_order_relaxed);
-    bytes_echoed_.fetch_add(bytes, std::memory_order_relaxed);
+    c_.add<&S::dgrams_echoed>(1);
+    c_.add<&S::bytes_echoed>(bytes);
   }
   void on_uplinked(std::size_t bytes) {
-    dgrams_uplinked_.fetch_add(1, std::memory_order_relaxed);
-    bytes_uplinked_.fetch_add(bytes, std::memory_order_relaxed);
+    c_.add<&S::dgrams_uplinked>(1);
+    c_.add<&S::bytes_uplinked>(bytes);
   }
   void on_sunk(std::size_t bytes) {
-    dgrams_sunk_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sunk_.fetch_add(bytes, std::memory_order_relaxed);
+    c_.add<&S::dgrams_sunk>(1);
+    c_.add<&S::bytes_sunk>(bytes);
   }
   void add_dgrams_lost(u64 n) {
-    if (n) dgrams_lost_.fetch_add(n, std::memory_order_relaxed);
+    if (n) c_.add<&S::dgrams_lost>(n);
   }
   void add_ring_dropped(u64 n) {
-    if (n) dgrams_ring_dropped_.fetch_add(n, std::memory_order_relaxed);
+    if (n) c_.add<&S::dgrams_ring_dropped>(n);
   }
-  void on_admitted() { sessions_admitted_.fetch_add(1, std::memory_order_relaxed); }
-  void on_rejected() { sessions_rejected_.fetch_add(1, std::memory_order_relaxed); }
-  void on_session_closed() { sessions_closed_.fetch_add(1, std::memory_order_relaxed); }
+  void on_admitted() { c_.add<&S::sessions_admitted>(1); }
+  void on_rejected() { c_.add<&S::sessions_rejected>(1); }
+  void on_session_closed() { c_.add<&S::sessions_closed>(1); }
   void on_policed(std::size_t bytes) {
-    chunks_policed_.fetch_add(1, std::memory_order_relaxed);
-    bytes_policed_.fetch_add(bytes, std::memory_order_relaxed);
+    c_.add<&S::chunks_policed>(1);
+    c_.add<&S::bytes_policed>(bytes);
   }
 
-  /// Stabilising double read, as TransportTelemetry::snapshot().
-  [[nodiscard]] TenantSnapshot snapshot() const;
+  /// Consistent point-in-time copy (common/counters.hpp).
+  [[nodiscard]] TenantSnapshot snapshot() const { return c_.snapshot(); }
 
  private:
-  [[nodiscard]] TenantSnapshot read_once() const;
-
-  std::atomic<u64> dgrams_in_{0}, bytes_in_{0};
-  std::atomic<u64> dgrams_echoed_{0}, bytes_echoed_{0};
-  std::atomic<u64> dgrams_uplinked_{0}, bytes_uplinked_{0};
-  std::atomic<u64> dgrams_sunk_{0}, bytes_sunk_{0};
-  std::atomic<u64> dgrams_lost_{0};
-  std::atomic<u64> dgrams_ring_dropped_{0};
-  std::atomic<u64> sessions_admitted_{0}, sessions_rejected_{0}, sessions_closed_{0};
-  std::atomic<u64> chunks_policed_{0}, bytes_policed_{0};
+  TenantCounters c_;
 };
 
 /// One registered tenant: config, counters, live admission state and the

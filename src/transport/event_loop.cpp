@@ -1,6 +1,5 @@
 #include "transport/event_loop.hpp"
 
-#include <poll.h>
 #include <sys/epoll.h>
 #include <time.h>
 #include <unistd.h>
@@ -35,50 +34,29 @@ u32 to_epoll(u32 interest) {
   return ev;
 }
 
-short to_poll(u32 interest) {
-  short ev = 0;
-  if (interest & kReadable) ev |= POLLIN;
-  if (interest & kWritable) ev |= POLLOUT;
-  return ev;
-}
-
-u32 from_poll(short rev) {
-  u32 out = 0;
-  if (rev & (POLLIN | POLLRDHUP)) out |= kReadable;
-  if (rev & POLLOUT) out |= kWritable;
-  if (rev & (POLLERR | POLLHUP | POLLNVAL)) out |= kIoError;
-  return out;
-}
-
 }  // namespace
 
-EventLoop::EventLoop(Backend backend) {
+EventLoop::EventLoop() {
   int pipe_fds[2] = {-1, -1};
   P5_ENSURES(::pipe(pipe_fds) == 0);
   wake_rd_ = Fd(pipe_fds[0]);
   wake_wr_ = Fd(pipe_fds[1]);
   P5_ENSURES(set_nonblocking(wake_rd_.get()) && set_nonblocking(wake_wr_.get()));
-  if (backend != Backend::kPoll) {
-    epoll_fd_ = Fd(::epoll_create1(0));
-    P5_ENSURES(backend != Backend::kEpoll || epoll_fd_.valid());
-  }
+  epoll_fd_ = Fd(::epoll_create1(0));
+  P5_ENSURES(epoll_fd_.valid());
   epoch_ns_ = monotonic_ns();
   add_fd(wake_rd_.get(), kReadable, [this](u32) { drain_wakeup(); });
 }
 
 EventLoop::~EventLoop() = default;
 
-bool EventLoop::using_epoll() const { return epoll_fd_.valid(); }
-
 void EventLoop::add_fd(int fd, u32 interest, IoCallback cb) {
   P5_EXPECTS(fd >= 0 && cb != nullptr);
   P5_EXPECTS(fds_.find(fd) == fds_.end());
-  if (using_epoll()) {
-    epoll_event ev{};
-    ev.events = to_epoll(interest);
-    ev.data.fd = fd;
-    P5_ENSURES(::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) == 0);
-  }
+  epoll_event ev{};
+  ev.events = to_epoll(interest);
+  ev.data.fd = fd;
+  P5_ENSURES(::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) == 0);
   fds_[fd] = FdEntry{interest, ++gen_counter_, std::move(cb)};
 }
 
@@ -87,18 +65,16 @@ void EventLoop::modify_fd(int fd, u32 interest) {
   P5_EXPECTS(it != fds_.end());
   if (it->second.interest == interest) return;
   it->second.interest = interest;
-  if (using_epoll()) {
-    epoll_event ev{};
-    ev.events = to_epoll(interest);
-    ev.data.fd = fd;
-    P5_ENSURES(::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, fd, &ev) == 0);
-  }
+  epoll_event ev{};
+  ev.events = to_epoll(interest);
+  ev.data.fd = fd;
+  P5_ENSURES(::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, fd, &ev) == 0);
 }
 
 void EventLoop::remove_fd(int fd) {
   auto it = fds_.find(fd);
   if (it == fds_.end()) return;
-  if (using_epoll()) (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
+  (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
   fds_.erase(it);
 }
 
@@ -149,28 +125,13 @@ int EventLoop::wait_budget_ms(int timeout_ms) const {
 
 void EventLoop::collect_ready(int wait_ms) {
   ready_.clear();
-  if (using_epoll()) {
-    epoll_event evs[64];
-    int n = ::epoll_wait(epoll_fd_.get(), evs, 64, wait_ms);
-    if (n < 0 && errno != EINTR) P5_ASSERT(false);
-    for (int i = 0; i < n; ++i) {
-      auto it = fds_.find(evs[i].data.fd);
-      if (it == fds_.end()) continue;
-      ready_.push_back(Ready{it->first, it->second.gen, from_epoll(evs[i].events)});
-    }
-    return;
-  }
-  std::vector<pollfd> pfds;
-  pfds.reserve(fds_.size());
-  for (const auto& [fd, entry] : fds_) pfds.push_back(pollfd{fd, to_poll(entry.interest), 0});
-  int n = ::poll(pfds.data(), pfds.size(), wait_ms);
+  epoll_event evs[64];
+  int n = ::epoll_wait(epoll_fd_.get(), evs, 64, wait_ms);
   if (n < 0 && errno != EINTR) P5_ASSERT(false);
-  if (n <= 0) return;
-  for (const auto& p : pfds) {
-    if (p.revents == 0) continue;
-    auto it = fds_.find(p.fd);
+  for (int i = 0; i < n; ++i) {
+    auto it = fds_.find(evs[i].data.fd);
     if (it == fds_.end()) continue;
-    ready_.push_back(Ready{p.fd, it->second.gen, from_poll(p.revents)});
+    ready_.push_back(Ready{it->first, it->second.gen, from_epoll(evs[i].events)});
   }
 }
 

@@ -1,7 +1,7 @@
 // Nonblocking readiness loop — the first layer where the simulator meets
-// the OS. epoll on Linux with a portable poll(2) fallback (selectable for
-// tests, mandatory elsewhere), one-shot timers, and a thread-safe post()
-// queue with a self-pipe wakeup.
+// the OS. Level-triggered epoll (the system is Linux-only: TUN,
+// recvmmsg/sendmmsg), one-shot timers, and a thread-safe post() queue with a
+// self-pipe wakeup.
 //
 // Like the line card, the loop is designed to be driven two ways with
 // identical results:
@@ -43,16 +43,13 @@ inline constexpr u32 kIoError = 1u << 2;  ///< HUP/ERR — always delivered
 
 class EventLoop {
  public:
-  enum class Backend : u8 { kAuto, kEpoll, kPoll };
   using IoCallback = std::function<void(u32 events)>;
   using TimerId = u64;
 
-  explicit EventLoop(Backend backend = Backend::kAuto);
+  EventLoop();
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
-
-  [[nodiscard]] bool using_epoll() const;
 
   // ---- fd registration ----
   void add_fd(int fd, u32 interest, IoCallback cb);
@@ -110,7 +107,7 @@ class EventLoop {
   void collect_ready(int wait_ms);
   void drain_wakeup();
 
-  Fd epoll_fd_;  ///< invalid when the poll backend is active
+  Fd epoll_fd_;
   Fd wake_rd_, wake_wr_;
   std::map<int, FdEntry> fds_;
   u64 gen_counter_ = 0;

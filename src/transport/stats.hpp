@@ -1,6 +1,6 @@
-// Per-connection transport telemetry, following the linecard::Telemetry
-// discipline: relaxed atomics with exactly one writer (the event-loop
-// thread), read from any thread via a stabilising double-read snapshot.
+// Per-connection transport telemetry: one writer (the event-loop thread),
+// read from any thread. Updates, snapshot and merge follow the one counter
+// model in common/counters.hpp.
 //
 // Loss accounting is exact at the wire-chunk level:
 //
@@ -14,8 +14,9 @@
 // chunk silently.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 
+#include "common/counters.hpp"
 #include "common/types.hpp"
 
 namespace p5::transport {
@@ -59,75 +60,61 @@ struct TransportSnapshot {
     return io == 0 ? 0.0 : static_cast<double>(frames) / static_cast<double>(io);
   }
 
+  /// The chunk ledger, exact once the connection is drained (header comment).
+  [[nodiscard]] bool ledger_exact() const { return frames_in == frames_out + frames_lost; }
+
   bool operator==(const TransportSnapshot&) const = default;
   TransportSnapshot& operator+=(const TransportSnapshot& o);
 };
 
+/// TransportSnapshot's live mirror; the send-queue high-water mark merges by
+/// max (common/counters.hpp).
+using TransportCounters = CounterBlock<TransportSnapshot, &TransportSnapshot::send_queue_hwm>;
+
+inline TransportSnapshot& TransportSnapshot::operator+=(const TransportSnapshot& o) {
+  return TransportCounters::merge(*this, o);
+}
+
 /// Live counters for one tunnel/connection. Single writer (the loop
 /// thread), any number of readers.
 class TransportTelemetry {
+  using S = TransportSnapshot;
+
  public:
   void on_send_enqueued(std::size_t payload_bytes) {
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
-    bytes_in_.fetch_add(payload_bytes, std::memory_order_relaxed);
+    c_.add<&S::frames_in>(1);
+    c_.add<&S::bytes_in>(payload_bytes);
   }
   void on_sent(std::size_t payload_bytes) {
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
-    bytes_out_.fetch_add(payload_bytes, std::memory_order_relaxed);
+    c_.add<&S::frames_out>(1);
+    c_.add<&S::bytes_out>(payload_bytes);
   }
   void add_frames_lost(u64 n) {
-    if (n) frames_lost_.fetch_add(n, std::memory_order_relaxed);
+    if (n) c_.add<&S::frames_lost>(n);
   }
   void on_received(std::size_t payload_bytes) {
-    frames_rcvd_.fetch_add(1, std::memory_order_relaxed);
-    bytes_rcvd_.fetch_add(payload_bytes, std::memory_order_relaxed);
+    c_.add<&S::frames_rcvd>(1);
+    c_.add<&S::bytes_rcvd>(payload_bytes);
   }
-  void rx_drop() { rx_drops_.fetch_add(1, std::memory_order_relaxed); }
+  void rx_drop() { c_.add<&S::rx_drops>(1); }
   void on_connect(bool reconnect) {
-    (reconnect ? reconnects_ : connects_).fetch_add(1, std::memory_order_relaxed);
+    reconnect ? c_.add<&S::reconnects>(1) : c_.add<&S::connects>(1);
   }
-  void on_disconnect() { disconnects_.fetch_add(1, std::memory_order_relaxed); }
-  void backoff_wait() { backoff_waits_.fetch_add(1, std::memory_order_relaxed); }
-  void idle_timeout() { idle_timeouts_.fetch_add(1, std::memory_order_relaxed); }
-  void backpressure_stall() { backpressure_stalls_.fetch_add(1, std::memory_order_relaxed); }
-  void note_queue_depth(std::size_t bytes) { raise(send_queue_hwm_, bytes); }
-  void proto_error() { proto_errors_.fetch_add(1, std::memory_order_relaxed); }
-  void tx_syscall() { tx_syscalls_.fetch_add(1, std::memory_order_relaxed); }
-  void rx_syscall() { rx_syscalls_.fetch_add(1, std::memory_order_relaxed); }
-  void pool_recycled() { pool_recycled_.fetch_add(1, std::memory_order_relaxed); }
+  void on_disconnect() { c_.add<&S::disconnects>(1); }
+  void backoff_wait() { c_.add<&S::backoff_waits>(1); }
+  void idle_timeout() { c_.add<&S::idle_timeouts>(1); }
+  void backpressure_stall() { c_.add<&S::backpressure_stalls>(1); }
+  void note_queue_depth(std::size_t bytes) { c_.raise<&S::send_queue_hwm>(bytes); }
+  void proto_error() { c_.add<&S::proto_errors>(1); }
+  void tx_syscall() { c_.add<&S::tx_syscalls>(1); }
+  void rx_syscall() { c_.add<&S::rx_syscalls>(1); }
+  void pool_recycled() { c_.add<&S::pool_recycled>(1); }
 
-  /// Consistent point-in-time copy: reads the block twice until two
-  /// consecutive reads agree (bounded retries; the counters are monotonic,
-  /// so even the fallback is a valid momentary mixture, never garbage).
-  [[nodiscard]] TransportSnapshot snapshot() const;
+  /// Consistent point-in-time copy (common/counters.hpp).
+  [[nodiscard]] TransportSnapshot snapshot() const { return c_.snapshot(); }
 
  private:
-  static void raise(std::atomic<u64>& hwm, u64 v) {
-    u64 cur = hwm.load(std::memory_order_relaxed);
-    while (v > cur && !hwm.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  [[nodiscard]] TransportSnapshot read_once() const;
-
-  std::atomic<u64> frames_in_{0};
-  std::atomic<u64> bytes_in_{0};
-  std::atomic<u64> frames_out_{0};
-  std::atomic<u64> bytes_out_{0};
-  std::atomic<u64> frames_lost_{0};
-  std::atomic<u64> frames_rcvd_{0};
-  std::atomic<u64> bytes_rcvd_{0};
-  std::atomic<u64> rx_drops_{0};
-  std::atomic<u64> connects_{0};
-  std::atomic<u64> reconnects_{0};
-  std::atomic<u64> disconnects_{0};
-  std::atomic<u64> backoff_waits_{0};
-  std::atomic<u64> idle_timeouts_{0};
-  std::atomic<u64> backpressure_stalls_{0};
-  std::atomic<u64> send_queue_hwm_{0};
-  std::atomic<u64> proto_errors_{0};
-  std::atomic<u64> tx_syscalls_{0};
-  std::atomic<u64> rx_syscalls_{0};
-  std::atomic<u64> pool_recycled_{0};
+  TransportCounters c_;
 };
 
 }  // namespace p5::transport
