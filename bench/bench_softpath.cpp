@@ -7,8 +7,8 @@
 //     PCLMULQDQ, slicing-by-16 otherwise), plus FCS-32 pinned to the
 //     slicing-by-16 tables so the portable path stays gated;
 //   * HDLC stuffing/destuffing: octet loop vs the runtime-dispatched escape
-//     engine (scalar / SWAR / SSE2 / SSSE3 / AVX2), with one row per tier
-//     this host can pin plus the production auto-dispatch row;
+//     engine (scalar / SWAR / SSE2 / SSSE3 / AVX2 / VBMI2), with one pinned
+//     row per tier this host runs plus the production auto-dispatch row;
 //   * framing: encapsulate+stuff+copy (3 allocations) vs fused zero-alloc
 //     encode_into, and a 32-frame batched encode (encode_batch_into) that
 //     amortises per-frame setup — the small-frame case;
@@ -24,10 +24,11 @@
 // is the stuffed/framed size the kernel actually moves (destuff throughput
 // is measured over wire octets consumed). `dispatch` names the escape-engine
 // tier (for CRC rows, the FCS kernel) the row ran; `pinned` rows force a
-// lower tier or kernel for diagnosis — the speedup guarantees apply to the
-// auto-dispatch rows only (a pinned SWAR row at high density is *expected*
-// to trail the scalar seed; that regression is exactly why the dispatcher
-// exists).
+// tier or kernel for diagnosis — every escape tier, the dispatched one too,
+// so a tier's cells exist on any host that can run it. The speedup
+// guarantees apply to the auto-dispatch rows only (a pinned SWAR row at high
+// density is *expected* to trail the scalar seed; that regression is exactly
+// why the dispatcher exists).
 //
 // Usage: bench_softpath [--smoke] [--quick] [--out <path>]
 //   --smoke  tiny iteration counts (CI bit-rot check, label `bench`)
@@ -170,14 +171,15 @@ int run(int argc, char** argv) {
                       measure_mb_s(size, [&] { g_sink = crc::fcs16().crc(payload); })});
 
       // --- stuffing (throughput in *payload* octets in, wire octets out):
-      // one auto-dispatch row plus one pinned row per lower tier ---
+      // one pinned row per tier this host runs, the dispatched tier
+      // included, plus the auto-dispatch row. Pinning every tier keeps a
+      // tier's gate cells on runners that dispatch a wider one ---
       const double stuff_old = measure_mb_s(
           size, [&] { g_sink = static_cast<u32>(fastpath::scalar::stuff(payload).size()); });
       const double destuff_old = measure_mb_s(stuffed.size(), [&] {
         g_sink = static_cast<u32>(fastpath::scalar::destuff(stuffed).first.size());
       });
-      for (const fastpath::EscapeTier tier : fastpath::available_tiers()) {
-        const bool pinned = tier != auto_tier;
+      const auto escape_rows = [&](fastpath::EscapeTier tier, bool pinned) {
         const fastpath::EscapeEngine eng(accm, tier);
         rows.push_back({"stuff", size, density, fastpath::to_string(tier), pinned,
                         stuffed.size(), stuff_old, measure_mb_s(size, [&] {
@@ -193,7 +195,9 @@ int run(int argc, char** argv) {
                           g_sink = eng.destuff_append(out, stuffed) ? 1u : 0u;
                           g_sink = static_cast<u32>(out.size());
                         })});
-      }
+      };
+      for (const fastpath::EscapeTier tier : fastpath::available_tiers()) escape_rows(tier, true);
+      escape_rows(auto_tier, false);
 
       // --- full framer: seed three-buffer path vs fused zero-alloc path ---
       hdlc::FrameConfig cfg;

@@ -14,7 +14,9 @@
 #             --pcap quick gate vs the committed BENCH_capture.json
 #   tier      device-tier matrix: transport+conformance suites re-run with
 #             P5_DEVICE_TIER forced to cycle, then fast, then fast with
-#             P5_ESCAPE_TIER=scalar (fast tier on the scalar escape engine)
+#             P5_ESCAPE_TIER=scalar (fast tier on the scalar escape engine),
+#             then the full suite with P5_ESCAPE_TIER=avx2 (keeps the AVX2
+#             kernels covered on hosts that dispatch vbmi2)
 #   asan      ASan+UBSan build + full ctest            (build-asan/)
 #   tsan      TSan build + the threaded suites         (build-tsan/)
 #   bench     smoke run of every registered bench      (build/, ctest -L bench)
@@ -117,6 +119,10 @@ if want tier; then
   (cd build && P5_DEVICE_TIER=fast ctest -R 'Transport|Conformance' --output-on-failure -j)
   (cd build && P5_DEVICE_TIER=fast P5_ESCAPE_TIER=scalar \
     ctest -R 'Transport|Conformance' --output-on-failure -j)
+  # A host with AVX-512 VBMI2 dispatches vbmi2, so nothing above runs the
+  # AVX2 kernels; clamp to them for one more full pass. (On a host without
+  # AVX2 the clamp is a no-op and this re-runs the dispatched tier.)
+  (cd build && P5_ESCAPE_TIER=avx2 ctest --output-on-failure -j)
 fi
 
 if want asan; then

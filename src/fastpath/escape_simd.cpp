@@ -62,7 +62,7 @@ constexpr ExpandTables make_expand_tables() {
 
 constexpr ExpandTables kExpand = make_expand_tables();
 
-/// Resolve which 0x7D octets of a window (equality mask `b`, up to 32 bits)
+/// Resolve which 0x7D octets of a window (equality mask `b`, up to 64 bits)
 /// are escape *markers*, i.e. not themselves escaped by the previous octet —
 /// a run of k consecutive 0x7D yields markers at alternate positions, so
 /// 7D 7D decodes to 0x5D, not two markers. Branchless: adding each run's
@@ -71,8 +71,8 @@ constexpr ExpandTables kExpand = make_expand_tables();
 /// trailing-marker state across windows (and in: an incoming pending escape
 /// consumes octet 0).
 struct MarkerResolve {
-  u32 markers;  ///< marker octets (dropped by compression)
-  u32 escaped;  ///< escaped octets (xor-0x20 and kept)
+  u64 markers;  ///< marker octets (dropped by compression)
+  u64 escaped;  ///< escaped octets (xor-0x20 and kept)
 };
 
 inline MarkerResolve resolve_markers(u64 b, unsigned nbits, unsigned& pending) {
@@ -84,7 +84,7 @@ inline MarkerResolve resolve_markers(u64 b, unsigned nbits, unsigned& pending) {
   const u64 markers = (even_runs & kEven) | (odd_runs & ~kEven);
   const u64 escaped = (markers << 1) | pending;
   pending = static_cast<unsigned>((markers >> (nbits - 1)) & 1u);
-  return {static_cast<u32>(markers), static_cast<u32>(escaped)};
+  return {markers, escaped};
 }
 
 /// kSpread64[m]: byte i = 0xFF iff bit i of m — turns an escaped-octet mask
@@ -192,6 +192,12 @@ u32 stuff_crc_scalar(Bytes& out, BytesView data, const EscapeClassTables& t, con
     }
   }
   return state & crc.spec().mask();
+}
+
+inline void add_windows(TierCounters& to, const TierCounters& from) {
+  to.clean_windows += from.clean_windows;
+  to.sparse_windows += from.sparse_windows;
+  to.dense_windows += from.dense_windows;
 }
 
 inline void count_window(TierCounters& c, unsigned popcnt) {
@@ -417,7 +423,7 @@ __attribute__((target("ssse3"))) bool destuff_ssse3(u8* dst, const u8* p, std::s
     }
     count_window(c, static_cast<unsigned>(std::popcount(mask)));
     const MarkerResolve r = resolve_markers(mask, 16, pending);
-    w = destuff16(dst, w, v, r.markers, r.escaped);
+    w = destuff16(dst, w, v, static_cast<unsigned>(r.markers), static_cast<unsigned>(r.escaped));
   }
   for (; i < n; ++i) {
     const u8 b = p[i];
@@ -515,8 +521,10 @@ __attribute__((target("avx2"))) bool destuff_avx2(u8* dst, const u8* p, std::siz
     }
     count_window(c, static_cast<unsigned>(std::popcount(mask)));
     const MarkerResolve r = resolve_markers(mask, 32, pending);
-    w = destuff16(dst, w, _mm256_castsi256_si128(v), r.markers, r.escaped);
-    w = destuff16(dst, w, _mm256_extracti128_si256(v, 1), r.markers >> 16, r.escaped >> 16);
+    const auto markers = static_cast<unsigned>(r.markers);
+    const auto escaped = static_cast<unsigned>(r.escaped);
+    w = destuff16(dst, w, _mm256_castsi256_si128(v), markers, escaped);
+    w = destuff16(dst, w, _mm256_extracti128_si256(v, 1), markers >> 16, escaped >> 16);
   }
   for (; i < n; ++i) {
     const u8 b = p[i];
@@ -533,6 +541,137 @@ __attribute__((target("avx2"))) bool destuff_avx2(u8* dst, const u8* p, std::siz
   return pending == 0;
 }
 
+// ---------------------------------------------------------------------------
+// VBMI2 tier (AVX-512 BW/VL/VBMI2 + BMI2): the paper's byte sorter as one
+// instruction per window. vpexpandb spreads a flagged stuffing window over
+// its output slots and vpcompressb squeezes a destuffing window's markers
+// out, so a flagged window costs the same few instructions at any density
+// and needs no group tables. Masked loads and stores cover the tails: the
+// tier writes nothing past its logical end.
+// ---------------------------------------------------------------------------
+
+#define P5_TARGET_VBMI2 __attribute__((target("avx512bw,avx512vl,avx512vbmi2,bmi2,popcnt")))
+
+/// Stuff the first `live` octets of a 32-octet window with escape mask
+/// `mask` (bits past `live` clear). Input octet i owns slots 2i and 2i+1 of
+/// a 64-slot grid; slot 2i (its marker) exists only when the octet escapes.
+/// pdep builds the grid and pext squeezes it onto the output, which yields
+/// the value slots — the sorter's control. vpexpandb drops the 0x20-xored
+/// octets into those slots over a 0x7D background (the marker slots are the
+/// rest, so no separate blend), and one masked store writes the
+/// live + popcount(mask) octets of the image.
+P5_TARGET_VBMI2 inline std::size_t stuff32_vbmi2(u8* dst, std::size_t w, __m256i v, u32 mask,
+                                                 unsigned live) {
+  constexpr u64 kEven = 0x5555555555555555ull;
+  const u64 grid = _pdep_u64(mask, kEven) | ~kEven;
+  const u64 values = _pext_u64(~kEven, grid);
+  const __m256i x =
+      _mm256_xor_si256(v, _mm256_maskz_mov_epi8(mask, _mm256_set1_epi8(hdlc::kXor)));
+  const __m512i out = _mm512_mask_expand_epi8(_mm512_set1_epi8(static_cast<char>(hdlc::kEscape)),
+                                              values, _mm512_castsi256_si512(x));
+  const unsigned len = live + static_cast<unsigned>(std::popcount(mask));
+  _mm512_mask_storeu_epi8(dst + w, _bzhi_u64(~0ull, len), out);
+  return w + len;
+}
+
+/// One stuff window: a clean one is copied, a flagged one expanded.
+P5_TARGET_VBMI2 inline std::size_t window_vbmi2(u8* dst, std::size_t w, __m256i v, unsigned mask,
+                                                TierCounters& c) {
+  if (mask == 0) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), v);
+    ++c.clean_windows;
+    return w + 32;
+  }
+  count_window(c, static_cast<unsigned>(std::popcount(mask)));
+  return stuff32_vbmi2(dst, w, v, mask, 32);
+}
+
+P5_TARGET_VBMI2 std::size_t stuff_vbmi2(u8* dst, const u8* p, std::size_t n,
+                                        const EscapeClassTables& t, TierCounters& counters) {
+  // Window counts accumulate in registers: the octet stores may alias
+  // `counters`, so counting there would chain every window through memory.
+  TierCounters c;
+  std::size_t w = 0;
+  std::size_t i = 0;
+  // Two windows per step, so a clean stream pays one branch per 64 octets.
+  for (; i + 64 <= n; i += 64) {
+    const __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
+    const __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i + 32));
+    const unsigned m_lo = classify32(lo, t);
+    const unsigned m_hi = classify32(hi, t);
+    if ((m_lo | m_hi) == 0) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), lo);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w + 32), hi);
+      w += 64;
+      c.clean_windows += 2;
+      continue;
+    }
+    w = window_vbmi2(dst, w, lo, m_lo, c);
+    w = window_vbmi2(dst, w, hi, m_hi, c);
+  }
+  if (i + 32 <= n) {
+    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
+    w = window_vbmi2(dst, w, v, classify32(v, t), c);
+    i += 32;
+  }
+  if (i < n) {
+    // Tail: a masked load zero-fills the missing octets; they classify as
+    // clean (or are masked off) and land past `len`, so the store drops them.
+    const auto live = static_cast<unsigned>(n - i);
+    const u32 in = static_cast<u32>(_bzhi_u64(~0ull, live));
+    const __m256i v = _mm256_maskz_loadu_epi8(in, p + i);
+    w = stuff32_vbmi2(dst, w, v, classify32(v, t) & in, live);
+  }
+  add_windows(counters, c);
+  return w;
+}
+
+/// Destuff one window of `live` octets (64, or fewer in the tail, where the
+/// masked load zero-filled the rest) with 0x7D mask `mask`: resolve the
+/// markers, xor the octets they escape, vpcompressb the markers out —
+/// Escape Detect's realignment — and store exactly the survivors.
+P5_TARGET_VBMI2 inline std::size_t destuff64_vbmi2(u8* dst, std::size_t w, __m512i v, u64 mask,
+                                                   unsigned live, unsigned& pending) {
+  const MarkerResolve r = resolve_markers(mask, live, pending);
+  v = _mm512_xor_si512(v, _mm512_maskz_mov_epi8(r.escaped, _mm512_set1_epi8(hdlc::kXor)));
+  const __m512i out = _mm512_maskz_compress_epi8(~r.markers, v);
+  const unsigned len = live - static_cast<unsigned>(std::popcount(r.markers));
+  _mm512_mask_storeu_epi8(dst + w, _bzhi_u64(~0ull, len), out);
+  return w + len;
+}
+
+P5_TARGET_VBMI2 bool destuff_vbmi2(u8* dst, const u8* p, std::size_t n, std::size_t& w_out,
+                                   TierCounters& counters) {
+  TierCounters c;  // in registers, as in stuff_vbmi2
+  std::size_t w = 0;
+  std::size_t i = 0;
+  unsigned pending = 0;
+  const __m512i escv = _mm512_set1_epi8(static_cast<char>(hdlc::kEscape));
+  for (; i + 64 <= n; i += 64) {
+    const __m512i v = _mm512_loadu_si512(p + i);
+    const u64 mask = _mm512_cmpeq_epi8_mask(v, escv);
+    if (mask == 0 && pending == 0) {
+      _mm512_storeu_si512(dst + w, v);
+      w += 64;
+      ++c.clean_windows;
+      continue;
+    }
+    count_window(c, static_cast<unsigned>(std::popcount(mask)));
+    w = destuff64_vbmi2(dst, w, v, mask, 64, pending);
+  }
+  if (i < n) {
+    // Zero fill never matches 0x7D, so the tail's mask covers live octets only.
+    const auto live = static_cast<unsigned>(n - i);
+    const __m512i v = _mm512_maskz_loadu_epi8(_bzhi_u64(~0ull, live), p + i);
+    w = destuff64_vbmi2(dst, w, v, _mm512_cmpeq_epi8_mask(v, escv), live, pending);
+  }
+  add_windows(counters, c);
+  w_out = w;
+  return pending == 0;
+}
+
+#undef P5_TARGET_VBMI2
+
 #endif  // P5_ESCAPE_SIMD
 
 EscapeTier parse_tier(const char* name, EscapeTier fallback) {
@@ -541,6 +680,7 @@ EscapeTier parse_tier(const char* name, EscapeTier fallback) {
   if (std::strcmp(name, "sse2") == 0) return EscapeTier::kSse2;
   if (std::strcmp(name, "ssse3") == 0) return EscapeTier::kSsse3;
   if (std::strcmp(name, "avx2") == 0) return EscapeTier::kAvx2;
+  if (std::strcmp(name, "vbmi2") == 0) return EscapeTier::kVbmi2;
   return fallback;
 }
 
@@ -553,6 +693,7 @@ const char* to_string(EscapeTier tier) {
     case EscapeTier::kSse2: return "sse2";
     case EscapeTier::kSsse3: return "ssse3";
     case EscapeTier::kAvx2: return "avx2";
+    case EscapeTier::kVbmi2: return "vbmi2";
   }
   return "?";
 }
@@ -560,6 +701,9 @@ const char* to_string(EscapeTier tier) {
 EscapeTier detected_tier() {
 #if P5_ESCAPE_SIMD
   static const EscapeTier tier = [] {
+    if (__builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512vbmi2") && __builtin_cpu_supports("bmi2"))
+      return EscapeTier::kVbmi2;
     if (__builtin_cpu_supports("avx2")) return EscapeTier::kAvx2;
     if (__builtin_cpu_supports("ssse3")) return EscapeTier::kSsse3;
     return EscapeTier::kSse2;  // x86-64 baseline
@@ -622,6 +766,7 @@ void EscapeEngine::stuff_append(Bytes& out, BytesView data) const {
   u8* dst = out.data() + base;
   std::size_t w = 0;
   switch (tier_) {
+    case EscapeTier::kVbmi2: w = stuff_vbmi2(dst, data.data(), n, tables_, counters_); break;
     case EscapeTier::kAvx2: w = stuff_avx2(dst, data.data(), n, tables_, counters_); break;
     case EscapeTier::kSsse3: w = stuff_ssse3(dst, data.data(), n, tables_, counters_); break;
     default: w = stuff_sse2(dst, data.data(), n, tables_, counters_); break;
@@ -652,6 +797,7 @@ bool EscapeEngine::destuff_append(Bytes& out, BytesView data) const {
   std::size_t w = 0;
   bool ok = false;
   switch (tier_) {
+    case EscapeTier::kVbmi2: ok = destuff_vbmi2(dst, data.data(), n, w, counters_); break;
     case EscapeTier::kAvx2: ok = destuff_avx2(dst, data.data(), n, w, counters_); break;
     case EscapeTier::kSsse3: ok = destuff_ssse3(dst, data.data(), n, w, counters_); break;
     default: ok = destuff_sse2(dst, data.data(), n, w, counters_); break;

@@ -8,25 +8,29 @@
 // regresses below the scalar seed once a quarter of the octets escape,
 // because every flagged word falls back to a fresh byte-at-a-time patch.
 // This engine closes that gap with compress/expand vector kernels in the
-// byte-sorter spirit: escape positions are found 16/32 octets at a time
-// with movemask, and flagged 8-octet groups are expanded (stuff) or
-// compacted (destuff) branchlessly through pshufb tables indexed by the
+// byte-sorter spirit. The SSSE3/AVX2 tiers find escape positions 16/32
+// octets at a time with movemask and expand (stuff) or compact (destuff)
+// flagged 8-octet groups branchlessly through pshufb tables indexed by the
 // group's escape mask — dense traffic costs a table lookup per group, not a
-// branch per octet.
+// branch per octet. The VBMI2 tier is the sorter itself: pdep/pext turn a
+// 32-octet window's escape mask into output slot masks and one vpexpandb
+// places every octet (stuff); one vpcompressb drops a 64-octet window's
+// escape markers (destuff). It needs no tables, and its masked tail stores
+// write nothing past the logical end.
 //
 // Three selection mechanisms stack, so no operating point falls below the
 // scalar baseline:
 //   * startup dispatch — CPUID picks the widest tier the host supports
-//     (AVX2 > SSSE3 > SSE2 > portable SWAR); P5_ESCAPE_TIER=<name> clamps
-//     it down for testing, and -DP5_FORCE_SCALAR compiles the SIMD tiers
-//     out entirely;
+//     (VBMI2 > AVX2 > SSSE3 > SSE2 > portable SWAR); P5_ESCAPE_TIER=<name>
+//     clamps it down for testing, and -DP5_FORCE_SCALAR compiles the SIMD
+//     tiers out entirely;
 //   * per-call size gate — frames shorter than one vector window take the
 //     exact scalar loop (no setup to amortize);
-//   * per-window density adaptation — each 16/32-octet window's escape
-//     mask classifies it as clean (bulk vector copy), sparse, or dense;
-//     flagged windows go through the branchless group expand/compress, so
-//     the worst-case all-escape stream degrades to table lookups instead
-//     of mispredicted branches.
+//   * per-window density adaptation — each vector window's escape mask
+//     classifies it as clean (bulk vector copy), sparse, or dense; flagged
+//     windows go through the branchless expand/compress, so the worst-case
+//     all-escape stream degrades to table lookups (or one vpexpandb /
+//     vpcompressb) instead of mispredicted branches.
 //
 // Per-frame setup (the ACCM-derived classification tables) is hoisted into
 // the EscapeEngine constructor; callers that frame continuously (FrameArena,
@@ -45,7 +49,14 @@ namespace p5::fastpath {
 
 /// Dispatch tiers, widest last. kScalar/kSwar are portable; the rest are
 /// x86-only and compiled out under P5_FORCE_SCALAR.
-enum class EscapeTier : u8 { kScalar = 0, kSwar = 1, kSse2 = 2, kSsse3 = 3, kAvx2 = 4 };
+enum class EscapeTier : u8 {
+  kScalar = 0,
+  kSwar = 1,
+  kSse2 = 2,
+  kSsse3 = 3,
+  kAvx2 = 4,
+  kVbmi2 = 5,  ///< AVX-512 BW/VL/VBMI2 + BMI2: vpexpandb / vpcompressb
+};
 
 [[nodiscard]] const char* to_string(EscapeTier tier);
 
@@ -53,7 +64,8 @@ enum class EscapeTier : u8 { kScalar = 0, kSwar = 1, kSse2 = 2, kSsse3 = 3, kAvx
 [[nodiscard]] EscapeTier detected_tier();
 
 /// detected_tier() clamped down by the P5_ESCAPE_TIER environment variable
-/// ("scalar", "swar", "sse2", "ssse3", "avx2"); the startup dispatch result.
+/// ("scalar", "swar", "sse2", "ssse3", "avx2", "vbmi2"); the startup
+/// dispatch result.
 [[nodiscard]] EscapeTier best_tier();
 
 /// Every tier that can run on this host, narrowest first (for sweep tests
@@ -61,17 +73,20 @@ enum class EscapeTier : u8 { kScalar = 0, kSwar = 1, kSse2 = 2, kSsse3 = 3, kAvx
 [[nodiscard]] std::vector<EscapeTier> available_tiers();
 
 /// Extra octets the vector stores may write past the logical end of an
-/// output buffer before it is trimmed; sizing code must reserve this much
-/// beyond the worst-case escape expansion.
+/// output buffer before it is trimmed (the VBMI2 tier writes none); sizing
+/// code must reserve this much beyond the worst-case escape expansion.
 inline constexpr std::size_t kStuffSlack = 16;
 
 /// Below this input size the engine takes the scalar loop outright.
 inline constexpr std::size_t kSmallFrameCutoff = 16;
 
 /// Dispatch telemetry: how often each call-level tier ran, and the density
-/// mix the per-window estimator observed. Plain counters with a single
-/// writer — an engine must not be shared across threads (each FrameArena /
-/// endpoint / channel owns its own).
+/// mix the per-window estimator observed. A window is 16, 32 or 64 octets by
+/// tier: SSE2/SSSE3 16, AVX2 32, VBMI2 32 when stuffing and 64 when
+/// destuffing. Stuff windows are 32 octets on both wide tiers, so the dense
+/// share of stuff windows means the same on either. Plain counters with a
+/// single writer — an engine must not be shared across threads (each
+/// FrameArena / endpoint / channel owns its own).
 struct TierCounters {
   u64 scalar_calls = 0;
   u64 swar_calls = 0;

@@ -9,8 +9,9 @@
 //   * SWAR fastpath  — the word-parallel kernels in fastpath/stuff_fast,
 //                      called directly so they stay pinned to that tier;
 //   * SIMD engine    — the runtime-dispatched fastpath::EscapeEngine at its
-//                      best detected tier (AVX2/SSSE3/SSE2 where available),
-//                      the engine behind hdlc::stuff / hdlc::encode_into;
+//                      best detected tier (VBMI2/AVX2/SSSE3/SSE2 where
+//                      available), the engine behind hdlc::stuff /
+//                      hdlc::encode_into;
 //   * p5 pipeline    — the cycle-level Escape Generate / Escape Detect byte
 //                      sorters (and, for full receive, a whole P5 device).
 //

@@ -127,8 +127,8 @@ TEST(Conformance, DensityFlipAdversarialFramesAgreeAcrossAllEngines) {
 
   std::vector<Bytes> payloads;
   // Flip points straddling the 16B SSE window, the 32B AVX2 window, the 64B
-  // SSE2 dirty-window hysteresis run, and the SWAR word, inside frames up to
-  // a little over two windows past the flip.
+  // SSE2 dirty-window hysteresis run and VBMI2 destuff window, and the SWAR
+  // word, inside frames up to a little over two windows past the flip.
   constexpr std::size_t kFlips[] = {1, 7, 8, 15, 16, 17, 31, 32, 33, 63, 64, 65};
   constexpr u8 kDense[] = {hdlc::kFlag, hdlc::kEscape};
   for (const std::size_t flip : kFlips) {
@@ -162,7 +162,7 @@ TEST(Conformance, DensityFlipAdversarialFramesAgreeAcrossAllEngines) {
 }
 
 // The same adversarial shapes through every tier this host can dispatch
-// (scalar, SWAR, SSE2, SSSE3, AVX2 as available): each pinned-tier engine
+// (scalar, SWAR, SSE2, SSSE3, AVX2, VBMI2 as available): each pinned-tier engine
 // must reproduce the scalar reference byte-for-byte on both directions.
 TEST(Conformance, DensityFlipFramesAgreeAtEveryDispatchTier) {
   const hdlc::Accm accm = hdlc::Accm::sonet();

@@ -361,7 +361,8 @@ TEST(EscapeEngine, EveryAvailableTierMatchesScalarAcrossDensities) {
       const EscapeEngine eng(accm, tier);
       ASSERT_EQ(eng.tier(), tier);
       for (const double density : {0.0, 1.0 / 128, 0.25, 1.0}) {
-        for (const std::size_t len : {1u, 15u, 16u, 17u, 31u, 32u, 33u, 64u, 255u, 1500u}) {
+        for (const std::size_t len :
+             {1u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u, 127u, 128u, 129u, 255u, 1500u}) {
           const Bytes p = escape_mix(rng, len, density);
           const Bytes want = scalar::stuff(p, accm);
           Bytes got;
@@ -380,20 +381,34 @@ TEST(EscapeEngine, EveryAvailableTierMatchesScalarAcrossDensities) {
 }
 
 // Dangling-escape verdicts (and the partial output retained before the
-// abort) must be tier-independent.
+// abort) must be tier-independent. Besides random streams ending in a bare
+// 0x7D, 0x41 + 0x7E x k stuffs to markers on every odd octet: k = 32 and 64
+// put one on octet 63 or 127, so the pending escape crosses a 64-octet
+// window, and cutting the last octet leaves the dangling escape on the edge.
 TEST(EscapeEngine, DanglingEscapeVerdictMatchesScalarAtEveryTier) {
   Xoshiro256 rng(22);
+  std::vector<Bytes> edges;
+  for (const std::size_t k : {31u, 32u, 63u, 64u}) {
+    Bytes payload{0x41};
+    payload.insert(payload.end(), k, hdlc::kFlag);
+    edges.push_back(hdlc::stuff(payload));
+    edges.push_back(edges.back());
+    edges.back().pop_back();
+  }
   for (const EscapeTier tier : available_tiers()) {
     const EscapeEngine eng(Accm::sonet(), tier);
+    std::vector<Bytes> inputs = edges;
     for (int i = 0; i < 50; ++i) {
-      Bytes stuffed = hdlc::stuff(escape_mix(rng, rng.below(96), 0.1));
-      stuffed.push_back(hdlc::kEscape);
+      inputs.push_back(hdlc::stuff(escape_mix(rng, rng.below(96), 0.1)));
+      inputs.back().push_back(hdlc::kEscape);
+    }
+    for (const Bytes& stuffed : inputs) {
       const auto [want, want_ok] = scalar::destuff(stuffed);
       Bytes got;
       got.reserve(stuffed.size() + kStuffSlack);
       const bool got_ok = eng.destuff_append(got, stuffed);
-      ASSERT_EQ(got_ok, want_ok) << to_string(tier);
-      ASSERT_EQ(got, want) << to_string(tier);
+      ASSERT_EQ(got_ok, want_ok) << to_string(tier) << " len " << stuffed.size();
+      ASSERT_EQ(got, want) << to_string(tier) << " len " << stuffed.size();
     }
   }
 }
