@@ -106,7 +106,9 @@ Row bench_stream_echo(std::size_t count, std::size_t frame_bytes) {
     Fd c = transport::tcp_accept(listen_fd.get());
     if (!c.valid()) return;
     server = std::make_unique<StreamConn>(loop, stel, scfg, std::move(c), false);
-    server->set_on_frame([&](BytesView v) { (void)server->send_frame(v); });
+    server->set_on_frames([&](std::span<const BytesView> burst) {
+      for (const BytesView& v : burst) (void)server->send_frame(v);
+    });
   });
   bool in_progress = false;
   Fd c = transport::tcp_connect(SocketAddr{"127.0.0.1", transport::local_port(listen_fd.get())},
@@ -116,7 +118,7 @@ Row bench_stream_echo(std::size_t count, std::size_t frame_bytes) {
 
   const Bytes frame = density_payload(frame_bytes, 0.0, 42);
   std::size_t echoed = 0;
-  client->set_on_frame([&](BytesView) { ++echoed; });
+  client->set_on_frames([&](std::span<const BytesView> burst) { echoed += burst.size(); });
 
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t sent = 0;

@@ -4,14 +4,16 @@
 // line rate): PPP octet stream -> x^43+1 payload scrambling -> SPE mapping
 // -> frame-synchronous scrambling -> an optical line with injected bit
 // errors -> deframing -> the peer P5's receive pipeline. IMIX traffic runs
-// both ways and the error accounting at every layer is reported.
+// both ways and the error accounting at every layer is reported. B's
+// deliveries are recorded to gigabit_link.pcap (PPP linktype, stamped with
+// device time) in the working directory.
 //
 //   build/examples/gigabit_link [ber]    (default ber = 1e-6)
 #include <cstdio>
 #include <cstdlib>
 #include <set>
 
-#include "net/capture.hpp"
+#include "net/capture/tap.hpp"
 #include "net/traffic.hpp"
 #include "p5/sonet_link.hpp"
 
@@ -31,13 +33,23 @@ int main(int argc, char** argv) {
               link.sts().line_rate_mbps(), link.sts().payload_rate_mbps(), ber);
 
   // Sinks checking payload integrity against what was sent; B also records
-  // a frame capture for offline inspection.
+  // its deliveries to a pcap for offline inspection (tcpdump -r). Each record
+  // is ff 03 proto payload, stamped with B's cycle count in device time.
+  const char* const pcap_path = "gigabit_link.pcap";
+  net::capture::CaptureTap tap({.nsec = true, .linktype = net::capture::kLinkPpp});
+  if (!tap.open(pcap_path)) {
+    std::fprintf(stderr, "gigabit_link: cannot create %s\n", pcap_path);
+    return 1;
+  }
+  const double ns_per_cycle = 1000.0 / cfg.clock_mhz;  // 12.8 ns at 78.125 MHz
+  Bytes record;
   std::set<Bytes> outstanding_ab, outstanding_ba;
   u64 delivered_ab = 0, delivered_ba = 0, corrupted = 0;
-  net::Capture capture;
   link.b().set_rx_sink([&](core::RxDelivery d) {
     ++delivered_ab;
-    capture.record(link.b().cycle(), net::Direction::kRx, d.protocol, d.payload);
+    record.assign({0xff, 0x03, static_cast<u8>(d.protocol >> 8), static_cast<u8>(d.protocol)});
+    append(record, d.payload);
+    tap.record_at(static_cast<u64>(static_cast<double>(link.b().cycle()) * ns_per_cycle), record);
     if (outstanding_ab.erase(d.payload) == 0) ++corrupted;
   });
   link.a().set_rx_sink([&](core::RxDelivery d) {
@@ -97,9 +109,9 @@ int main(int argc, char** argv) {
   report_p5("P5 A", link.a());
   report_p5("P5 B", link.b());
 
-  capture.save("gigabit_link.p5ca");
-  std::printf("\nfirst frames at B (capture saved to gigabit_link.p5ca):\n%s",
-              capture.summary(5).c_str());
+  tap.close();
+  std::printf("\ncapture: %llu deliveries at B recorded to %s\n",
+              static_cast<unsigned long long>(tap.stats().records), pcap_path);
 
   if (corrupted != 0) {
     std::printf("\nFAIL: corrupted datagrams slipped through the FCS\n");

@@ -61,10 +61,6 @@ if want transport; then
   cmake -B build -S .
   cmake --build build -j
   (cd build && ctest -L transport --output-on-failure -j)
-  # The batched-I/O legs default on; this leg proves the serial fallback
-  # (P5_TX_BATCH=0) still carries the whole suite — same ledgers, same
-  # delivery order — mirroring the P5_DEVICE_TIER env matrix.
-  (cd build && P5_TX_BATCH=0 ctest -L transport --output-on-failure -j)
 fi
 
 if want server; then
@@ -73,7 +69,6 @@ if want server; then
   cmake -B build -S .
   cmake --build build -j
   (cd build && ctest -L server --output-on-failure -j)
-  (cd build && P5_TX_BATCH=0 ctest -L server --output-on-failure -j)
   # The churn test's full-default target already runs in tier-1; this leg
   # re-runs it explicitly so a `scripts/check.sh server` in isolation still
   # covers the kill/reconnect path at scale.

@@ -106,7 +106,6 @@ BytesView encode_batch_into(FrameArena& arena, const FrameConfig& cfg,
   Bytes& wire = arena.wire_;
   wire.clear();
   arena.spans_.clear();
-  arena.oks_.clear();
 
   // One worst-case reservation for the whole batch — the per-frame setup
   // (ACCM tables, CRC slicer, allocation headroom) is amortised across all
@@ -127,26 +126,6 @@ BytesView encode_batch_into(FrameArena& arena, const FrameConfig& cfg,
     arena.spans_.emplace_back(start, wire.size());
   }
   return wire;
-}
-
-void decode_batch_into(FrameArena& arena, std::span<const BytesView> stuffed) {
-  const fastpath::EscapeEngine& eng = arena.rx_escape_engine();
-
-  Bytes& wire = arena.wire_;
-  wire.clear();
-  arena.spans_.clear();
-  arena.oks_.clear();
-
-  std::size_t total = fastpath::kStuffSlack;
-  for (const BytesView& s : stuffed) total += s.size();
-  wire.reserve(total);
-
-  for (const BytesView& s : stuffed) {
-    const std::size_t start = wire.size();
-    const bool ok = eng.destuff_append(wire, s);
-    arena.spans_.emplace_back(start, wire.size());
-    arena.oks_.push_back(ok ? 1 : 0);
-  }
 }
 
 Bytes build_wire_frame(const FrameConfig& cfg, u16 protocol, BytesView payload) {

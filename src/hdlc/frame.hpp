@@ -80,30 +80,20 @@ class FrameArena {
     return tx_engine_ ? &*tx_engine_ : nullptr;
   }
 
-  /// The receive-side engine (destuffing is ACCM-independent on the wire).
-  [[nodiscard]] const fastpath::EscapeEngine& rx_escape_engine() {
-    if (!rx_engine_) rx_engine_.emplace(Accm::sonet());
-    return *rx_engine_;
-  }
-
-  /// Per-frame results of the last encode_batch_into / decode_batch_into.
+  /// Per-frame wire images of the last encode_batch_into.
   [[nodiscard]] std::size_t frame_count() const { return spans_.size(); }
   [[nodiscard]] BytesView frame(std::size_t i) const {
     return BytesView(wire_.data() + spans_[i].first, spans_[i].second - spans_[i].first);
   }
-  [[nodiscard]] bool frame_ok(std::size_t i) const { return i >= oks_.size() || oks_[i] != 0; }
 
  private:
   friend BytesView encode_into(FrameArena&, const FrameConfig&, u16, BytesView);
   friend BytesView encode_batch_into(FrameArena&, const FrameConfig&,
                                      std::span<const BatchFrame>);
-  friend void decode_batch_into(FrameArena&, std::span<const BytesView>);
   friend Bytes build_wire_frame(const FrameConfig&, u16, BytesView);
   Bytes wire_;
   std::vector<std::pair<std::size_t, std::size_t>> spans_;
-  std::vector<u8> oks_;
   std::optional<fastpath::EscapeEngine> tx_engine_;
-  std::optional<fastpath::EscapeEngine> rx_engine_;
 };
 
 /// Fused single-pass encoder: computes the FCS and stuffs in one scan of the
@@ -125,13 +115,6 @@ class FrameArena {
 /// the same (address-overridden) config.
 [[nodiscard]] BytesView encode_batch_into(FrameArena& arena, const FrameConfig& cfg,
                                           std::span<const BatchFrame> frames);
-
-/// Batched destuffer: destuff every chunk (stuffed frame content, no flags —
-/// as produced by the delineator) back-to-back into the arena with one
-/// reservation. arena.frame(i) views the i-th destuffed content and
-/// arena.frame_ok(i) reports a dangling-escape failure, with partial content
-/// retained exactly like hdlc::destuff. Inputs must not alias the arena.
-void decode_batch_into(FrameArena& arena, std::span<const BytesView> stuffed);
 
 enum class ParseError : u8 {
   kTooShort,

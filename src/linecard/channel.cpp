@@ -26,12 +26,11 @@ Channel::Channel(unsigned index, const ChannelConfig& cfg, ChannelTelemetry& tel
       fabric_(cfg.ring_capacity),
       egress_(cfg.ring_capacity) {
   // Hoist escape-table derivation out of the fabric hot loop: the arena's
-  // cached engines are primed here, at construction (config-change time),
+  // cached engine is primed here, at construction (config-change time),
   // from the tributary's programmed ACCM — previously the first fabric-side
-  // re-frame derived them mid-burst. The cache keys on the ACCM, so an OAM
+  // re-frame derived it mid-burst. The cache keys on the ACCM, so an OAM
   // reprogramming still re-derives exactly once.
   (void)arena_.escape_engine(link_->host_escape_engine().accm());
-  (void)arena_.rx_escape_engine();
 }
 
 bool Channel::step() {

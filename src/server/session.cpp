@@ -17,7 +17,7 @@ Session::Session(SessionEnv env, std::unique_ptr<transport::Conn> conn,
   env_.transport_tel->on_connect(false);
   if (fixed_tenant) {
     if (bind_tenant(*fixed_tenant)) {
-      ep_ = env_.make_endpoint();
+      attach_endpoint();
     } else {
       conn_->close();  // fires on_closed -> mark_dead; shard sweeps us
     }
@@ -44,10 +44,15 @@ bool Session::bind_tenant(u32 tenant_id) {
   return true;
 }
 
+void Session::attach_endpoint() {
+  ep_ = env_.make_endpoint();
+  tx_ = transport::TunnelBinding::endpoint(*ep_);
+}
+
 void Session::on_chunks(std::span<const BytesView> chunks) {
-  // Per-chunk decisions (hello, policer, push_line) happen in order exactly
-  // as the frame-at-a-time path made them; the expensive device work —
-  // drain_rx and the datagram reap — runs once for the whole burst.
+  // Per-chunk decisions (hello, policer, push_line) happen in chunk order;
+  // the expensive device work — drain_rx and the datagram reap — runs once
+  // for the whole burst.
   for (const BytesView& chunk : chunks) {
     if (!on_chunk(chunk)) return;
   }
@@ -70,7 +75,7 @@ bool Session::on_chunk(BytesView chunk) {
       conn_->close();
       return false;
     }
-    ep_ = env_.make_endpoint();
+    attach_endpoint();
     return true;  // the hello carries no line octets
   }
   if (tenant_ == nullptr || ep_ == nullptr) return true;  // closing; late chunk
@@ -118,19 +123,11 @@ std::size_t Session::slice() {
     if (!conn_->writable()) {
       // Watermark backpressure: frames stay in the device until the socket
       // drains, same coupling the Tunnel uses.
-      if (ep_->tx_pending() || tx_linger_ > 0) env_.transport_tel->backpressure_stall();
+      if (tx_.ready()) env_.transport_tel->backpressure_stall();
       break;
     }
-    Bytes frame;
-    if (ep_->tx_pending()) {
-      tx_linger_ = 2;  // flush trailing FCS/flag octets once TX goes idle
-      frame = ep_->pull_frame();
-    } else if (tx_linger_ > 0) {
-      --tx_linger_;
-      frame = ep_->pull_frame();
-    } else {
-      break;
-    }
+    const Bytes frame = tx_.pull();
+    if (frame.empty()) break;
     if (!conn_->send_frame(frame)) break;  // write error closed us mid-slice
     ++sent;
   }

@@ -6,17 +6,17 @@
 //   adopted -> [awaiting hello] -> bound(tenant) -> carrying -> dead
 //                     \-> bad hello / admission reject -> dead
 //
-// RX path per inbound burst (the conn's batched on_frames delivery): per
-// chunk, hello/tenant binding on the first chunk when the listener carries
-// no tenant, then the tenant policer, then endpoint.push_line(); after the
+// RX path per inbound burst (the conn's on_frames delivery): per chunk,
+// hello/tenant binding on the first chunk when the listener carries no
+// tenant, then the tenant policer, then endpoint.push_line(); after the
 // whole burst is in the deframer, one drain_rx() + reap that dispositions
-// every decoded datagram (echo / uplink handoff / sink — see RouteMode).
-// Batched or not, per-chunk decisions and dispositions are identical. A
+// every decoded datagram (echo / uplink handoff / sink — see RouteMode). A
 // burst that decodes more datagrams than the endpoint's RX ring holds loses
 // the excess there; the session books that loss against the tenant after
 // the reap (TenantSnapshot::dgrams_ring_dropped).
-// TX path per slice: the tx_pending()-gated, 2-frame-linger paced pull the
-// Tunnel binding uses, into the conn until its watermark pushes back.
+// TX path per slice: frames come from TunnelBinding::endpoint's paced pull
+// (tx_pending()-gated, with its 2-frame linger), the same binding a Tunnel
+// drives, into the conn until its watermark pushes back.
 //
 // A Session never destroys its conn from the conn's own callback stack:
 // on_closed only marks dead_, and the shard sweeps dead sessions after its
@@ -31,6 +31,7 @@
 #include "server/tenant.hpp"
 #include "transport/conn.hpp"
 #include "transport/event_loop.hpp"
+#include "transport/tunnel.hpp"
 
 namespace p5::server {
 
@@ -92,17 +93,18 @@ class Session {
   /// false when the session died (skip the rest of the burst).
   bool on_chunk(BytesView chunk);
   bool bind_tenant(u32 tenant_id);
+  void attach_endpoint();
   void reap_and_route();
   void mark_dead();
 
   SessionEnv env_;
   std::unique_ptr<transport::Conn> conn_;
   std::unique_ptr<core::SonetEndpoint> ep_;
+  transport::TunnelBinding tx_;  ///< paced pull over *ep_, set with it
   TenantState* tenant_ = nullptr;  ///< registry-owned, stable address
   bool awaiting_hello_ = false;
   bool dead_ = false;
   bool global_slot_held_ = false;
-  unsigned tx_linger_ = 0;  ///< trailing frames after tx_pending() clears
   u64 ring_drops_booked_ = 0;  ///< ep_->rx_overflow_drops() already booked
 };
 

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -29,34 +28,8 @@ constexpr std::size_t kRxCompactBytes = 256 * 1024;
 
 }  // namespace
 
-bool resolve_io_batch(IoBatch configured) {
-  if (configured != IoBatch::kAuto) return configured == IoBatch::kOn;
-  if (const char* env = std::getenv("P5_TX_BATCH")) {
-    return std::strcmp(env, "0") != 0;
-  }
-  return true;
-}
-
-bool Conn::deliver_frames(std::span<const BytesView> frames, bool batched) {
-  if (frames.empty()) return true;
-  if (on_frames_) {
-    if (batched) {
-      on_frames_(frames);
-      return open();
-    }
-    // Batch leg off: same hook, single-element spans, frame-at-a-time order.
-    for (const BytesView& v : frames) {
-      on_frames_(std::span<const BytesView>(&v, 1));
-      if (!open()) return false;
-    }
-    return true;
-  }
-  if (on_frame_) {
-    for (const BytesView& v : frames) {
-      on_frame_(v);
-      if (!open()) return false;
-    }
-  }
+bool Conn::deliver_frames(std::span<const BytesView> frames) {
+  if (!frames.empty() && on_frames_) on_frames_(frames);
   return open();
 }
 
@@ -66,7 +39,6 @@ StreamConn::StreamConn(EventLoop& loop, TransportTelemetry& stats, ConnConfig cf
                        bool connecting, ChunkPool* pool)
     : Conn(loop, stats, cfg), fd_(std::move(fd)) {
   P5_EXPECTS(fd_.valid());
-  batch_ = resolve_io_batch(cfg_.batch);
   if (pool != nullptr) {
     pool_ = pool;
   } else {
@@ -100,9 +72,9 @@ bool StreamConn::send_frame(BytesView payload) {
   queue_.push_back(std::move(chunk));
   stats_.on_send_enqueued(payload.size());
   stats_.note_queue_depth(queued_bytes_);
-  // Batched mode stages: the queue drains through one scatter-gather syscall
-  // at the next flush()/writability event instead of one send per chunk.
-  if (!batch_ || queue_.size() >= kMaxIov) flush_write();
+  // Stage: the queue drains through one scatter-gather syscall at the next
+  // flush()/writability event instead of one send per chunk.
+  if (queue_.size() >= kMaxIov) flush_write();
   if (open()) update_interest();
   return true;
 }
@@ -153,17 +125,15 @@ void StreamConn::finish_connect() {
 }
 
 void StreamConn::flush_write() {
-  // One scatter-gather sendmsg spans up to kMaxIov queued chunks (a single
-  // iovec — the exact legacy syscall pattern — when batching is off). A
-  // partial write leaves head_off_ mid-chunk and resumes there.
-  const std::size_t cap = batch_ ? kMaxIov : 1;
+  // One scatter-gather sendmsg spans up to kMaxIov queued chunks. A partial
+  // write leaves head_off_ mid-chunk and resumes there.
   while (!queue_.empty()) {
     std::array<iovec, kMaxIov> iov;
     std::size_t n_iov = 0;
     std::size_t attempted = 0;
     std::size_t off = head_off_;
     for (const ChunkRef& c : queue_) {
-      if (n_iov == cap) break;
+      if (n_iov == kMaxIov) break;
       const Bytes& d = c.data();
       iov[n_iov].iov_base = const_cast<u8*>(d.data() + off);
       iov[n_iov].iov_len = d.size() - off;
@@ -270,7 +240,7 @@ bool StreamConn::parse_frames() {
   if (rx_off_ == rx_len_) rx_off_ = rx_len_ = 0;  // nothing left: free reset
   // The views alias rx_buf_, which nothing mutates until the callbacks
   // return (send_frame only touches the TX queue).
-  if (!deliver_frames(frame_views_, batch_)) return false;
+  if (!deliver_frames(frame_views_)) return false;
   if (bad_length) {
     stats_.proto_error();
     close_internal(true);
@@ -311,7 +281,6 @@ DgramConn::DgramConn(EventLoop& loop, TransportTelemetry& stats, ConnConfig cfg,
                      bool learn_peer, ChunkPool* pool)
     : Conn(loop, stats, cfg), fd_(std::move(fd)), has_peer_(!learn_peer) {
   P5_EXPECTS(fd_.valid());
-  batch_ = resolve_io_batch(cfg_.batch);
   if (pool != nullptr) {
     pool_ = pool;
   } else {
@@ -322,12 +291,8 @@ DgramConn::DgramConn(EventLoop& loop, TransportTelemetry& stats, ConnConfig cfg,
     (void)::setsockopt(fd_.get(), SOL_SOCKET, SO_SNDBUF, &cfg_.so_sndbuf_bytes, sizeof(int));
   }
   last_rx_ms_ = loop_.now_ms();
-  if (batch_) {
-    rx_slots_.resize(kDgramBatch);
-    for (Bytes& slot : rx_slots_) slot.resize(65536);
-  } else {
-    rx_buf_.resize(65536);
-  }
+  rx_slots_.resize(kDgramBatch);
+  for (Bytes& slot : rx_slots_) slot.resize(65536);
   loop_.add_fd(fd_.get(), kReadable, [this](u32 events) {
     if (events & kIoError) {
       close_internal(true);
@@ -352,18 +317,6 @@ DgramConn::DgramConn(EventLoop& loop, TransportTelemetry& stats, ConnConfig cfg,
 bool DgramConn::send_frame(BytesView payload) {
   if (!writable()) return false;
   stats_.on_send_enqueued(payload.size());
-  if (!batch_) {
-    const ssize_t n = ::send(fd_.get(), payload.data(), payload.size(), MSG_NOSIGNAL);
-    if (n >= 0) stats_.tx_syscall();
-    if (n == static_cast<ssize_t>(payload.size())) {
-      stats_.on_sent(payload.size());
-    } else {
-      // Kernel refused or truncated — the datagram is gone. The self-sync
-      // scrambler on the far side absorbs the hole; we just account for it.
-      stats_.add_frames_lost(1);
-    }
-    return true;
-  }
   ChunkRef chunk = pool_->acquire(payload.size());
   append(chunk.data(), payload);
   stage_bytes_ += payload.size();
@@ -428,10 +381,6 @@ void DgramConn::request_drain() {
 }
 
 void DgramConn::read_some() {
-  if (!batch_) {
-    read_some_serial();
-    return;
-  }
   for (int burst = 0; burst < 4; ++burst) {
     std::array<mmsghdr, kDgramBatch> msgs{};
     std::array<iovec, kDgramBatch> iovs;
@@ -468,35 +417,8 @@ void DgramConn::read_some() {
       stats_.on_received(len);
       frame_views_.emplace_back(rx_slots_[i].data(), len);
     }
-    if (!deliver_frames(frame_views_, /*batched=*/true)) return;
+    if (!deliver_frames(frame_views_)) return;
     if (n < static_cast<int>(kDgramBatch)) return;
-  }
-}
-
-void DgramConn::read_some_serial() {
-  for (int burst = 0; burst < 16; ++burst) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof(peer);
-    const ssize_t n = ::recvfrom(fd_.get(), rx_buf_.data(), rx_buf_.size(), 0,
-                                 reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN and transient ICMP errors alike: wait for the next event
-    }
-    stats_.rx_syscall();
-    last_rx_ms_ = loop_.now_ms();
-    if (!has_peer_) {
-      // Listener side: lock onto the first talker so sends have a target.
-      if (::connect(fd_.get(), reinterpret_cast<sockaddr*>(&peer), peer_len) == 0) {
-        has_peer_ = true;
-        if (on_open_) on_open_();
-        if (!open()) return;
-      }
-    }
-    if (n == 0) continue;  // zero-length datagram carries nothing useful
-    stats_.on_received(static_cast<std::size_t>(n));
-    const BytesView view(rx_buf_.data(), static_cast<std::size_t>(n));
-    if (!deliver_frames(std::span<const BytesView>(&view, 1), /*batched=*/false)) return;
   }
 }
 

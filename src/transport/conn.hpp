@@ -15,11 +15,10 @@
 //     the gap. Sends stage into a small pooled batch flushed via sendmmsg;
 //     receives drain the socket kDgramBatch datagrams per recvmmsg.
 //
-// Batching is config- and env-gated (ConnConfig::batch, P5_TX_BATCH —
-// resolve_io_batch() mirrors resolve_device_tier: the env only decides
-// IoBatch::kAuto, an explicit pin always wins). With batching off the
-// carriers reproduce the original frame-at-a-time syscall pattern and
-// per-frame delivery exactly; ledgers are identical either way.
+// Each carrier has one send path and one receive path: send_frame stages a
+// pooled chunk that flush() (or the next writability event) writes with the
+// rest of the slice, and every parse/recv burst reaches the owner as one
+// on_frames call.
 //
 // Callback discipline (the rules that keep use-after-free away):
 //   * A Conn never destroys itself; on_closed is invoked from the conn's own
@@ -45,29 +44,17 @@
 
 namespace p5::transport {
 
-/// Batched-I/O selection: kAuto defers to the P5_TX_BATCH environment
-/// override (default on), an explicit kOn/kOff is taken literally.
-enum class IoBatch : u8 { kAuto, kOn, kOff };
-
-/// Apply the `P5_TX_BATCH` environment override: "0" forces the batch legs
-/// off, "1" (or any other non-"0" value) forces them on, when `configured`
-/// is kAuto. Explicit pins are returned unchanged — call sites that must
-/// compare both paths in one process pin and are immune to the environment.
-[[nodiscard]] bool resolve_io_batch(IoBatch configured);
-
 struct ConnConfig {
   std::size_t send_watermark_bytes = 256 * 1024;  ///< queue cap before stalls
   std::size_t max_frame_bytes = 4 * 1024 * 1024;  ///< length-prefix sanity bound
   std::size_t read_chunk_bytes = 64 * 1024;       ///< per-readable recv slice
   std::size_t rx_retain_bytes = 1024 * 1024;      ///< RX buffer capacity kept after a burst
   int so_sndbuf_bytes = 0;  ///< setsockopt(SO_SNDBUF) at adoption; 0 = kernel default
-  IoBatch batch = IoBatch::kAuto;  ///< scatter-gather TX / mmsg legs / burst delivery
 };
 
 /// One framed bidirectional connection bound to an EventLoop.
 class Conn {
  public:
-  using FrameCallback = std::function<void(BytesView)>;
   using FramesCallback = std::function<void(std::span<const BytesView>)>;
 
   Conn(EventLoop& loop, TransportTelemetry& stats, ConnConfig cfg)
@@ -99,11 +86,7 @@ class Conn {
   /// on_closed (unless already closed).
   virtual void close() = 0;
 
-  void set_on_frame(FrameCallback cb) { on_frame_ = std::move(cb); }
-  /// Batched sibling of on_frame: one call per parse/recv burst, with every
-  /// chunk of the burst. Takes precedence over on_frame when set; with
-  /// batching off it still fires, but with single-element spans, preserving
-  /// frame-at-a-time delivery order and semantics.
+  /// One call per parse/recv burst, with every chunk of the burst in order.
   void set_on_frames(FramesCallback cb) { on_frames_ = std::move(cb); }
   void set_on_open(std::function<void()> cb) { on_open_ = std::move(cb); }
   void set_on_closed(std::function<void()> cb) { on_closed_ = std::move(cb); }
@@ -112,14 +95,13 @@ class Conn {
   [[nodiscard]] u64 last_rx_ms() const { return last_rx_ms_; }
 
  protected:
-  /// Route a parsed burst through whichever callback is wired, honouring the
-  /// batch gate. Returns false when a callback closed the connection.
-  bool deliver_frames(std::span<const BytesView> frames, bool batched);
+  /// Hand a parsed burst to on_frames. Returns false when the callback
+  /// closed the connection.
+  bool deliver_frames(std::span<const BytesView> frames);
 
   EventLoop& loop_;
   TransportTelemetry& stats_;
   ConnConfig cfg_;
-  FrameCallback on_frame_;
   FramesCallback on_frames_;
   std::function<void()> on_open_;
   std::function<void()> on_closed_;
@@ -170,7 +152,6 @@ class StreamConn final : public Conn {
   bool draining_ = false;
   bool drained_notified_ = false;
   bool closing_ = false;  ///< re-entrancy latch for close_internal
-  bool batch_ = true;     ///< resolve_io_batch(cfg.batch), frozen at adoption
 
   ChunkPool* pool_ = nullptr;            ///< where send_frame gets its buffers
   std::unique_ptr<ChunkPool> own_pool_;  ///< fallback when none was shared
@@ -215,7 +196,6 @@ class DgramConn final : public Conn {
 
  private:
   void read_some();
-  void read_some_serial();
   void flush_stage();
   void update_interest();
   void close_internal(bool notify);
@@ -224,14 +204,12 @@ class DgramConn final : public Conn {
   EventLoop::TimerId open_timer_ = 0;  ///< deferred on_open; cancelled on close
   bool has_peer_ = false;
   bool closing_ = false;
-  bool batch_ = true;
 
   ChunkPool* pool_ = nullptr;
   std::unique_ptr<ChunkPool> own_pool_;
   std::vector<ChunkRef> stage_;  ///< datagrams awaiting one sendmmsg
   std::size_t stage_bytes_ = 0;
 
-  Bytes rx_buf_;                        ///< serial-leg receive buffer
   std::vector<Bytes> rx_slots_;         ///< recvmmsg slots, kDgramBatch x 64 KiB
   std::vector<BytesView> frame_views_;  ///< scratch for one recv burst
 };

@@ -29,10 +29,6 @@ TunnelBinding TunnelBinding::endpoint(core::SonetEndpoint& ep) {
   };
   b.pull_raw = [&ep] { return ep.pull_frame(); };
   b.ready = [&ep, linger] { return ep.tx_pending() || *linger > 0; };
-  b.push = [&ep](BytesView v) {
-    ep.push_line(v);
-    return true;
-  };
   // One call per received burst: the line interface takes arbitrary octet
   // runs, so a burst is just consecutive push_line calls — the batch-capable
   // FastP5Endpoint deframes the whole run before the tunnel regains control.
@@ -59,19 +55,16 @@ TunnelBinding TunnelBinding::channel(linecard::Channel& ch) {
     return out;
   };
   b.ready = [&ch] { return ch.egress_pending() > 0; };
-  b.push = [&ch](BytesView v) -> bool {
-    if (v.size() < 4) return false;
-    linecard::FrameDesc d;
-    d.protocol = get_be16(v, 0);
-    d.fabric_dest = v[2];
-    d.source_channel = v[3];
-    d.payload.assign(v.begin() + 4, v.end());
-    return ch.ingress_offer(std::move(d));
-  };
-  b.push_batch = [push = b.push](std::span<const BytesView> burst) {
+  b.push_batch = [&ch](std::span<const BytesView> burst) {
     std::size_t accepted = 0;
     for (const BytesView& v : burst) {
-      if (push(v)) ++accepted;
+      if (v.size() < 4) continue;  // too short for the header: refused
+      linecard::FrameDesc d;
+      d.protocol = get_be16(v, 0);
+      d.fabric_dest = v[2];
+      d.source_channel = v[3];
+      d.payload.assign(v.begin() + 4, v.end());
+      if (ch.ingress_offer(std::move(d))) ++accepted;
     }
     return accepted;
   };
@@ -292,8 +285,8 @@ std::size_t Tunnel::pump() {
 void Tunnel::deliver(std::span<const BytesView> chunks) {
   if (rx_tap_) {
     // The tap mutates (and sometimes eats) chunks; materialise each into
-    // reusable scratch storage, preserving per-chunk tap order so seeded
-    // fault sequences are identical whether delivery is batched or not.
+    // reusable scratch storage, preserving per-chunk tap order so a seeded
+    // fault sequence depends on the chunk sequence, not on burst grouping.
     tap_scratch_.resize(std::max(tap_scratch_.size(), chunks.size()));
     tap_survivors_.clear();
     for (std::size_t i = 0; i < chunks.size(); ++i) {
@@ -305,15 +298,9 @@ void Tunnel::deliver(std::span<const BytesView> chunks) {
     }
     chunks = tap_survivors_;
   }
-  if (chunks.empty()) return;
-  if (binding_.push_batch) {
-    const std::size_t accepted = binding_.push_batch(chunks);
-    for (std::size_t i = accepted; i < chunks.size(); ++i) tel_.rx_drop();
-  } else if (binding_.push) {
-    for (const BytesView& v : chunks) {
-      if (!binding_.push(v)) tel_.rx_drop();
-    }
-  }
+  if (chunks.empty() || !binding_.push_batch) return;
+  const std::size_t accepted = binding_.push_batch(chunks);
+  for (std::size_t i = accepted; i < chunks.size(); ++i) tel_.rx_drop();
 }
 
 void Tunnel::request_drain() {

@@ -1,8 +1,8 @@
 // Tunnel: binds one side of a PPP-over-SONET simulation to a real socket so
 // the other side can live in a different process.
 //
-// The bound object is abstracted as a TunnelBinding — four pull/push hooks
-// plus an optional housekeeping step — with two stock flavours:
+// The bound object is abstracted as a TunnelBinding — three TX hooks, one
+// RX hook and an optional housekeeping step — with two stock flavours:
 //   * endpoint() — a core::P5SonetEndpoint. Chunks are whole scrambled
 //     STS-Nc frames; pull is paced by the endpoint's tx_pending() gate (with
 //     a short linger so trailing FCS/flag octets flush) instead of letting
@@ -50,17 +50,15 @@ namespace p5::transport {
 /// The hooks a Tunnel drives. `pull` returns the next chunk to transmit
 /// (empty = nothing pending); `pull_raw`, when present, produces a chunk
 /// unconditionally (keepalive fill for carriers that can always emit, like a
-/// SONET transmitter); `ready` predicts whether pull would produce; `push`
-/// delivers a received chunk and reports refusal (ring full); `push_batch`,
-/// when present, takes a whole received burst in one call and returns how
-/// many chunks the bound object accepted (refusals are counted as rx drops
-/// regardless of position); `step`, when present, runs one housekeeping
-/// slice per pump.
+/// SONET transmitter); `ready` predicts whether pull would produce;
+/// `push_batch` takes a whole received burst in one call and returns how
+/// many chunks the bound object accepted (refusals, ring full for example,
+/// are counted as rx drops regardless of position); `step`, when present,
+/// runs one housekeeping slice per pump.
 struct TunnelBinding {
   std::function<Bytes()> pull;
   std::function<Bytes()> pull_raw;
   std::function<bool()> ready;
-  std::function<bool(BytesView)> push;
   std::function<std::size_t(std::span<const BytesView>)> push_batch;
   std::function<void()> step;
 

@@ -74,15 +74,13 @@ TEST(Chap, ClientEmitsGoldenResponsePacket) {
     EXPECT_EQ(proto, kProtoChap);
     sent.push_back(p);
   });
-  Bytes challenge_value;
-  for (u8 i = 0; i < 16; ++i) challenge_value.push_back(i);
+  // Value-Size, Value (octets 0..15), Name, built in one pass.
   Packet challenge;
   challenge.code = kChapChallenge;
   challenge.identifier = 0x01;
   challenge.data.push_back(16);
-  append(challenge.data, challenge_value);
-  const std::string server_name = "bras";
-  challenge.data.insert(challenge.data.end(), server_name.begin(), server_name.end());
+  for (u8 i = 0; i < 16; ++i) challenge.data.push_back(i);
+  for (const char c : std::string("bras")) challenge.data.push_back(static_cast<u8>(c));
 
   client.receive(challenge);
   ASSERT_EQ(sent.size(), 1u);

@@ -491,27 +491,5 @@ TEST(EscapeEngine, EncodeBatchMatchesPerFrameEncode) {
   EXPECT_EQ(off, stream.size());
 }
 
-// Batched destuffing: per-chunk spans, contents, and dangling-escape
-// verdicts must match hdlc::destuff chunk by chunk.
-TEST(EscapeEngine, DecodeBatchMatchesPerChunkDestuff) {
-  Xoshiro256 rng(25);
-  std::vector<Bytes> chunks;
-  for (int i = 0; i < 10; ++i) {
-    chunks.push_back(hdlc::stuff(escape_mix(rng, rng.below(150), 0.3)));
-    if (i % 4 == 3) chunks.back().push_back(hdlc::kEscape);  // dangling abort
-  }
-  std::vector<BytesView> views(chunks.begin(), chunks.end());
-
-  hdlc::FrameArena arena;
-  hdlc::decode_batch_into(arena, views);
-  ASSERT_EQ(arena.frame_count(), chunks.size());
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const auto want = hdlc::destuff(chunks[i]);
-    EXPECT_EQ(arena.frame_ok(i), want.ok) << i;
-    const BytesView got = arena.frame(i);
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.data.begin(), want.data.end())) << i;
-  }
-}
-
 }  // namespace
 }  // namespace p5::fastpath

@@ -8,6 +8,8 @@
 // the standard rather than to each other.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "crc/crc_reference.hpp"
 #include "crc/crc_table.hpp"
 #include "fastpath/scalar_ref.hpp"
@@ -38,6 +40,11 @@ struct CrcVector {
   Bytes data;
   u32 expect;
 };
+
+// gtest prints a parameter it has no printer for as its raw bytes, pointers
+// included, and ctest folds that image into each case's name. Printing the
+// vector's name keeps the case names stable from build to build.
+void PrintTo(const CrcVector& v, std::ostream* os) { *os << v.name; }
 
 class CrcGolden : public ::testing::TestWithParam<CrcVector> {};
 
@@ -97,6 +104,8 @@ struct StuffVector {
   Bytes stuffed;
 };
 
+void PrintTo(const StuffVector& v, std::ostream* os) { *os << v.name; }
+
 // The vector table both stuffing suites read.
 const std::vector<StuffVector>& stuff_vectors() {
   static const std::vector<StuffVector> vectors{
@@ -130,9 +139,7 @@ TEST_P(StuffGolden, AllThreeTransmitEnginesEmitTheCanonicalImage) {
 INSTANTIATE_TEST_SUITE_P(Rfc1662, StuffGolden, ::testing::ValuesIn(stuff_vectors()),
                          [](const auto& info) { return info.param.name; });
 
-// The receive cases take the vector's index, not the vector: gtest prints a
-// parameter it has no printer for as its raw bytes, which for StuffVector are
-// pointers, so case names built from that image changed from run to run.
+// The receive cases take the vector's index into the same table.
 class StuffGoldenRx : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(StuffGoldenRx, BothReceiveEnginesInvertIt) {

@@ -5,7 +5,6 @@
 #include "common/rng.hpp"
 #include "hdlc/accm.hpp"
 #include "net/ipv4.hpp"
-#include "net/capture.hpp"
 #include "net/traffic.hpp"
 
 namespace p5::net {
@@ -170,69 +169,6 @@ TEST(Traffic, WorkloadAggregates) {
 TEST(Traffic, PatternNames) {
   EXPECT_STREQ(to_string(PayloadPattern::kAllFlags).c_str(), "all-flags");
   EXPECT_STREQ(to_string(PayloadPattern::kUniformRandom).c_str(), "uniform");
-}
-
-
-// ---- frame capture ----
-
-TEST(Capture, RecordAndSummary) {
-  Capture cap;
-  cap.record(100, Direction::kTx, 0x0021, Bytes{1, 2, 3});
-  cap.record(150, Direction::kRx, 0xC021, Bytes{4});
-  EXPECT_EQ(cap.size(), 2u);
-  EXPECT_EQ(cap.total_octets(), 4u);
-  const std::string s = cap.summary();
-  EXPECT_NE(s.find("TX proto=0x0021 len=3"), std::string::npos);
-  EXPECT_NE(s.find("RX proto=0xc021 len=1"), std::string::npos);
-}
-
-TEST(Capture, SerializeParseRoundTrip) {
-  Xoshiro256 rng(3);
-  Capture cap;
-  for (int i = 0; i < 30; ++i)
-    cap.record(rng.next(), rng.chance(0.5) ? Direction::kTx : Direction::kRx,
-               static_cast<u16>(rng.next()), rng.bytes(rng.range(0, 100)));
-  const auto reparsed = Capture::parse(cap.serialize());
-  ASSERT_TRUE(reparsed.has_value());
-  ASSERT_EQ(reparsed->size(), cap.size());
-  for (std::size_t i = 0; i < cap.size(); ++i) {
-    EXPECT_EQ(reparsed->frames()[i].cycle, cap.frames()[i].cycle);
-    EXPECT_EQ(reparsed->frames()[i].protocol, cap.frames()[i].protocol);
-    EXPECT_EQ(reparsed->frames()[i].payload, cap.frames()[i].payload);
-  }
-}
-
-TEST(Capture, ParseRejectsCorruption) {
-  Capture cap;
-  cap.record(1, Direction::kTx, 1, Bytes{1, 2, 3});
-  Bytes wire = cap.serialize();
-  EXPECT_FALSE(Capture::parse(Bytes{1, 2, 3}).has_value());        // too short
-  Bytes bad_magic = wire;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_FALSE(Capture::parse(bad_magic).has_value());
-  Bytes truncated(wire.begin(), wire.end() - 2);
-  EXPECT_FALSE(Capture::parse(truncated).has_value());
-  Bytes trailing = wire;
-  trailing.push_back(0);
-  EXPECT_FALSE(Capture::parse(trailing).has_value());
-}
-
-TEST(Capture, SaveLoadFile) {
-  Capture cap;
-  cap.record(7, Direction::kRx, 0x8021, Bytes{9, 8});
-  const std::string path = "/tmp/p5_capture_test.p5ca";
-  ASSERT_TRUE(cap.save(path));
-  const auto loaded = Capture::load(path);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), 1u);
-  EXPECT_EQ(loaded->frames()[0].payload, (Bytes{9, 8}));
-}
-
-TEST(Capture, SummaryCapsOutput) {
-  Capture cap;
-  for (int i = 0; i < 100; ++i) cap.record(i, Direction::kTx, 1, Bytes{});
-  const std::string s = cap.summary(10);
-  EXPECT_NE(s.find("... 90 more frames"), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// transport:: — the epoll/poll socket layer that carries P5 SONET streams
+// transport:: — the epoll socket layer that carries P5 SONET streams
 // between real processes.
 //
-//  * EventLoop: deterministic manual-time timers, poll-backend parity,
+//  * EventLoop: deterministic manual-time timers, readiness dispatch,
 //    thread-safe post()/stop() (run under -fsanitize=thread).
 //  * StreamConn: 10k mixed-size frames echoed over loopback TCP, byte-exact
 //    and in order; write-queue watermark refuses frames instead of
@@ -213,7 +213,9 @@ TEST(TransportStream, Echo10kMixedFramesByteExact) {
   scfg.send_watermark_bytes = 64 * 1024 * 1024;
   LoopbackPair pair(loop, ctel, stel, {}, scfg);
   // Server echoes every frame straight back.
-  pair.server->set_on_frame([&](BytesView v) { ASSERT_TRUE(pair.server->send_frame(v)); });
+  pair.server->set_on_frames([&](std::span<const BytesView> burst) {
+    for (const BytesView& v : burst) ASSERT_TRUE(pair.server->send_frame(v));
+  });
 
   constexpr std::size_t kFrames = 10000;
   Xoshiro256 rng(7);
@@ -224,7 +226,9 @@ TEST(TransportStream, Echo10kMixedFramesByteExact) {
 
   std::vector<Bytes> echoed;
   echoed.reserve(kFrames);
-  pair.client->set_on_frame([&](BytesView v) { echoed.emplace_back(v.begin(), v.end()); });
+  pair.client->set_on_frames([&](std::span<const BytesView> burst) {
+    for (const BytesView& v : burst) echoed.emplace_back(v.begin(), v.end());
+  });
 
   std::size_t next = 0;
   for (int guard = 0; guard < 200000 && echoed.size() < kFrames; ++guard) {
@@ -502,17 +506,9 @@ TEST(TransportTunnel, ChannelBindingBridgesFabricAcrossTheSocket) {
 
   // B side: deliveries out of ch_b's link are consumed by the test itself,
   // so the tunnel only feeds the fabric ring (one-way bridge).
-  TunnelBinding b_bind;
-  b_bind.push = [&](BytesView v) -> bool {
-    if (v.size() < 4) return false;
-    linecard::FrameDesc d;
-    d.protocol = get_be16(v, 0);
-    d.fabric_dest = v[2];
-    d.source_channel = v[3];
-    d.payload.assign(v.begin() + 4, v.end());
-    return ch_b.ingress_offer(std::move(d));
-  };
-  b_bind.step = [&] { (void)ch_b.step(); };
+  TunnelBinding b_bind = TunnelBinding::channel(ch_b);
+  b_bind.pull = nullptr;
+  b_bind.ready = nullptr;
   TunnelConfig cb;
   cb.port = tun_a.bound_port();
   Tunnel tun_b(loop, std::move(b_bind), cb);
@@ -594,7 +590,7 @@ TEST(TransportTunnel, BackpressureStallsAreCounted) {
   TunnelBinding firehose;
   firehose.pull = [] { return Bytes(2048, 0x5A); };
   firehose.ready = [] { return true; };
-  firehose.push = [](BytesView) { return true; };
+  firehose.push_batch = [](std::span<const BytesView> burst) { return burst.size(); };
 
   TunnelConfig cfg;
   cfg.port = local_port(blackhole.get());
