@@ -77,8 +77,7 @@ struct Options {
   std::string pcap_out;
   p5::u64 duration_s = 0;
   p5::u64 stats_ms = 2000;
-  p5::core::DeviceTier tier =
-      p5::core::resolve_device_tier(p5::core::DeviceTier::kFast);
+  p5::core::DeviceTier tier = p5::core::DeviceTier::kFast;
 };
 
 bool parse_args(int argc, char** argv, Options& opt) {

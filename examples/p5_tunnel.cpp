@@ -13,8 +13,7 @@
 //
 // --tier picks the device model driving each lane: `fast` (default) is the
 // whole-frame batch datapath, `cycle` the cycle-accurate pipeline — same
-// wire format, orders of magnitude apart in throughput. P5_DEVICE_TIER
-// overrides the default; an explicit --tier flag wins over the env.
+// wire format, orders of magnitude apart in throughput.
 //
 // --channels N runs N independent tunnels (ports port..port+N-1), one
 // endpoint each — the line-card picture with the fabric replaced by
@@ -72,10 +71,7 @@ struct Options {
   p5::u64 stats_ms = 1000;
   p5::u64 seed = 7;
   std::string pcap_out;  // record delivered datagrams (all channels) here
-  // Default-selection point: fast unless P5_DEVICE_TIER says otherwise.
-  // An explicit --tier flag overwrites this (and so beats the env).
-  p5::core::DeviceTier tier =
-      p5::core::resolve_device_tier(p5::core::DeviceTier::kFast);
+  p5::core::DeviceTier tier = p5::core::DeviceTier::kFast;
 };
 
 bool parse_args(int argc, char** argv, Options& opt) {

@@ -35,7 +35,7 @@
 //
 // Usage:
 //   p5_tunnel_server --listen PORT[=TENANT|=hello] [--listen ...]
-//                    [--shards N] [--reuseport] [--tier cycle|fast]
+//                    [--shards N] [--tier cycle|fast]
 //                    [--mode echo|sink|uplink] [--max-per-tenant N]
 //                    [--rate-cap BYTES_PER_S] [--max-sessions N]
 //                    [--stats-ms MS] [--pcap-out PATH]
@@ -57,15 +57,13 @@ void on_sigint(int) { g_interrupted = 1; }
 struct Options {
   std::vector<p5::server::ListenerSpec> listeners;
   std::size_t shards = 1;
-  bool reuseport = false;
   p5::server::RouteMode mode = p5::server::RouteMode::kEcho;
   std::size_t max_per_tenant = 0;
   p5::u64 rate_cap = 0;
   std::size_t max_sessions = 0;
   p5::u64 stats_ms = 1000;
   std::string pcap_out;  // record every delivered datagram (all shards) here
-  p5::core::DeviceTier tier =
-      p5::core::resolve_device_tier(p5::core::DeviceTier::kFast);
+  p5::core::DeviceTier tier = p5::core::DeviceTier::kFast;
 };
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -147,8 +145,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       const char* v = need("--pcap-out");
       if (!v) return false;
       opt.pcap_out = v;
-    } else if (std::strcmp(argv[i], "--reuseport") == 0) {
-      opt.reuseport = true;
     } else {
       std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
       return false;
@@ -157,7 +153,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
   if (opt.listeners.empty() || opt.shards == 0) {
     std::fprintf(stderr,
                  "usage: p5_tunnel_server --listen PORT[=TENANT|=hello] [--listen ...]\n"
-                 "                        [--shards N] [--reuseport] [--tier cycle|fast]\n"
+                 "                        [--shards N] [--tier cycle|fast]\n"
                  "                        [--mode echo|sink|uplink] [--max-per-tenant N]\n"
                  "                        [--rate-cap BYTES_PER_S] [--max-sessions N]\n"
                  "                        [--stats-ms MS] [--pcap-out PATH]\n");
@@ -186,7 +182,6 @@ int main(int argc, char** argv) {
   server::ServerConfig cfg;
   cfg.listeners = opt.listeners;
   cfg.shards = opt.shards;
-  cfg.reuseport = opt.reuseport;
   cfg.route = opt.mode;
   cfg.tier = opt.tier;
   cfg.max_sessions_total = opt.max_sessions;
@@ -223,10 +218,9 @@ int main(int argc, char** argv) {
   }
   srv.run();
 
-  std::printf("p5_tunnel_server: %zu shard%s (%s), mode %s, tier %s, %zu listener%s",
-              opt.shards, opt.shards > 1 ? "s" : "", opt.reuseport ? "reuseport" : "fan-out",
-              mode_name(opt.mode), core::to_string(srv.config().tier), opt.listeners.size(),
-              opt.listeners.size() > 1 ? "s" : "");
+  std::printf("p5_tunnel_server: %zu shard%s, mode %s, tier %s, %zu listener%s", opt.shards,
+              opt.shards > 1 ? "s" : "", mode_name(opt.mode), core::to_string(srv.config().tier),
+              opt.listeners.size(), opt.listeners.size() > 1 ? "s" : "");
   for (std::size_t i = 0; i < opt.listeners.size(); ++i) {
     std::printf("%s %u", i == 0 ? ":" : ",", srv.port(i));
   }

@@ -12,11 +12,11 @@
 #             golden pcap vectors, replay equivalence, tap ledgers; TUN tests
 #             SKIP without /dev/net/tun privileges. Plus the bench_tunnel
 #             --pcap quick gate vs the committed BENCH_capture.json
-#   tier      device-tier matrix: transport+conformance suites re-run with
-#             P5_DEVICE_TIER forced to cycle, then fast, then fast with
-#             P5_ESCAPE_TIER=scalar (fast tier on the scalar escape engine),
-#             then the full suite with P5_ESCAPE_TIER=avx2 (keeps the AVX2
-#             kernels covered on hosts that dispatch vbmi2)
+#   tier      device-tier matrix: transport+conformance suites (each tier
+#             in-process), then again with P5_ESCAPE_TIER=scalar (the fast
+#             tier on the scalar escape engine), then the full suite with
+#             P5_ESCAPE_TIER=avx2 (keeps the AVX2 kernels covered on hosts
+#             that dispatch vbmi2)
 #   asan      ASan+UBSan build + full ctest            (build-asan/)
 #   tsan      TSan build + the threaded suites         (build-tsan/)
 #   bench     smoke run of every registered bench      (build/, ctest -L bench)
@@ -106,14 +106,11 @@ if want tier; then
   echo "== tier: device-tier matrix over the transport + conformance suites =="
   cmake -B build -S .
   cmake --build build -j
-  # Force every default-selected endpoint to each tier in turn. The suites
-  # include the tier-pinned tests either way; the env legs prove the
-  # default-selection points all route through resolve_device_tier() and
-  # that the fast tier holds up with the escape engine clamped to scalar.
-  (cd build && P5_DEVICE_TIER=cycle ctest -R 'Transport|Conformance' --output-on-failure -j)
-  (cd build && P5_DEVICE_TIER=fast ctest -R 'Transport|Conformance' --output-on-failure -j)
-  (cd build && P5_DEVICE_TIER=fast P5_ESCAPE_TIER=scalar \
-    ctest -R 'Transport|Conformance' --output-on-failure -j)
+  # The suites run every tier-covering test at both device tiers in-process;
+  # the second leg proves the fast tier holds up with the escape engine
+  # clamped to scalar.
+  (cd build && ctest -R 'Transport|Conformance' --output-on-failure -j)
+  (cd build && P5_ESCAPE_TIER=scalar ctest -R 'Transport|Conformance' --output-on-failure -j)
   # A host with AVX-512 VBMI2 dispatches vbmi2, so nothing above runs the
   # AVX2 kernels; clamp to them for one more full pass. (On a host without
   # AVX2 the clamp is a no-op and this re-runs the dispatched tier.)

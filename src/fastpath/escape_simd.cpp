@@ -209,6 +209,41 @@ inline void count_window(TierCounters& c, unsigned popcnt) {
 
 #if P5_ESCAPE_SIMD
 
+/// Stuff `len` octets from `src` into dst at write cursor `w`: the SIMD
+/// tiers' scalar leg (tails, and SSE2's flagged windows). Returns the
+/// advanced cursor.
+inline std::size_t stuff_run(u8* dst, std::size_t w, const u8* src, std::size_t len,
+                             const EscapeClassTables& t) {
+  for (std::size_t k = 0; k < len; ++k) {
+    const u8 b = src[k];
+    if (t.cls[b]) {
+      dst[w++] = hdlc::kEscape;
+      dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
+    } else {
+      dst[w++] = b;
+    }
+  }
+  return w;
+}
+
+/// Destuff counterpart of stuff_run; `pending` carries an escape marker
+/// across calls (and across the vector windows around them).
+inline std::size_t destuff_run(u8* dst, std::size_t w, const u8* src, std::size_t len,
+                               unsigned& pending) {
+  for (std::size_t k = 0; k < len; ++k) {
+    const u8 b = src[k];
+    if (pending) {
+      dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
+      pending = 0;
+    } else if (b == hdlc::kEscape) {
+      pending = 1;
+    } else {
+      dst[w++] = b;
+    }
+  }
+  return w;
+}
+
 // ---------------------------------------------------------------------------
 // SSE2 tier: vector escape *detection* only (no pshufb), exact scalar emit on
 // flagged windows. With a nonzero ACCM the detector over-approximates (all
@@ -238,38 +273,21 @@ std::size_t stuff_sse2(u8* dst, const u8* p, std::size_t n, const EscapeClassTab
       continue;
     }
     count_window(c, static_cast<unsigned>(std::popcount(mask)));
-    for (std::size_t k = i; k < i + 16; ++k) {
-      const u8 b = p[k];
-      if (t.cls[b]) {
-        dst[w++] = hdlc::kEscape;
-        dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-      } else {
-        dst[w++] = b;
-      }
-    }
+    w = stuff_run(dst, w, p + i, 16, t);
   }
-  for (; i < n; ++i) {
-    const u8 b = p[i];
-    if (t.cls[b]) {
-      dst[w++] = hdlc::kEscape;
-      dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-    } else {
-      dst[w++] = b;
-    }
-  }
-  return w;
+  return stuff_run(dst, w, p + i, n - i, t);
 }
 
 bool destuff_sse2(u8* dst, const u8* p, std::size_t n, std::size_t& w_out, TierCounters& c) {
   std::size_t w = 0;
   std::size_t i = 0;
-  bool pending = false;
+  unsigned pending = 0;
   const __m128i escv = _mm_set1_epi8(static_cast<char>(hdlc::kEscape));
   while (i + 16 <= n) {
     const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
     const unsigned mask =
         static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, escv)));
-    if (mask == 0 && !pending) {
+    if (mask == 0 && pending == 0) {
       _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + w), v);
       w += 16;
       i += 16;
@@ -281,31 +299,11 @@ bool destuff_sse2(u8* dst, const u8* p, std::size_t n, std::size_t& w_out, TierC
     // skip re-detection for the next few windows — dense streams then pay
     // one vector probe per 64 octets instead of per 16.
     const std::size_t stop = std::min(i + 64, n);
-    for (; i < stop; ++i) {
-      const u8 b = p[i];
-      if (pending) {
-        dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-        pending = false;
-      } else if (b == hdlc::kEscape) {
-        pending = true;
-      } else {
-        dst[w++] = b;
-      }
-    }
+    w = destuff_run(dst, w, p + i, stop - i, pending);
+    i = stop;
   }
-  for (; i < n; ++i) {
-    const u8 b = p[i];
-    if (pending) {
-      dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-      pending = false;
-    } else if (b == hdlc::kEscape) {
-      pending = true;
-    } else {
-      dst[w++] = b;
-    }
-  }
-  w_out = w;
-  return !pending;
+  w_out = destuff_run(dst, w, p + i, n - i, pending);
+  return pending == 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -393,16 +391,7 @@ __attribute__((target("ssse3"))) std::size_t stuff_ssse3(u8* dst, const u8* p, s
     w = stuff_group(dst, w, v, mask);
     w = stuff_group(dst, w, _mm_srli_si128(v, 8), mask >> 8);
   }
-  for (; i < n; ++i) {
-    const u8 b = p[i];
-    if (t.cls[b]) {
-      dst[w++] = hdlc::kEscape;
-      dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-    } else {
-      dst[w++] = b;
-    }
-  }
-  return w;
+  return stuff_run(dst, w, p + i, n - i, t);
 }
 
 __attribute__((target("ssse3"))) bool destuff_ssse3(u8* dst, const u8* p, std::size_t n,
@@ -425,18 +414,7 @@ __attribute__((target("ssse3"))) bool destuff_ssse3(u8* dst, const u8* p, std::s
     const MarkerResolve r = resolve_markers(mask, 16, pending);
     w = destuff16(dst, w, v, static_cast<unsigned>(r.markers), static_cast<unsigned>(r.escaped));
   }
-  for (; i < n; ++i) {
-    const u8 b = p[i];
-    if (pending) {
-      dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-      pending = 0;
-    } else if (b == hdlc::kEscape) {
-      pending = 1;
-    } else {
-      dst[w++] = b;
-    }
-  }
-  w_out = w;
+  w_out = destuff_run(dst, w, p + i, n - i, pending);
   return pending == 0;
 }
 
@@ -491,16 +469,7 @@ __attribute__((target("avx2"))) std::size_t stuff_avx2(u8* dst, const u8* p, std
     w = stuff_group(dst, w, hi, mask >> 16);
     w = stuff_group(dst, w, _mm_srli_si128(hi, 8), mask >> 24);
   }
-  for (; i < n; ++i) {
-    const u8 b = p[i];
-    if (t.cls[b]) {
-      dst[w++] = hdlc::kEscape;
-      dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-    } else {
-      dst[w++] = b;
-    }
-  }
-  return w;
+  return stuff_run(dst, w, p + i, n - i, t);
 }
 
 __attribute__((target("avx2"))) bool destuff_avx2(u8* dst, const u8* p, std::size_t n,
@@ -526,18 +495,7 @@ __attribute__((target("avx2"))) bool destuff_avx2(u8* dst, const u8* p, std::siz
     w = destuff16(dst, w, _mm256_castsi256_si128(v), markers, escaped);
     w = destuff16(dst, w, _mm256_extracti128_si256(v, 1), markers >> 16, escaped >> 16);
   }
-  for (; i < n; ++i) {
-    const u8 b = p[i];
-    if (pending) {
-      dst[w++] = static_cast<u8>(b ^ hdlc::kXor);
-      pending = 0;
-    } else if (b == hdlc::kEscape) {
-      pending = 1;
-    } else {
-      dst[w++] = b;
-    }
-  }
-  w_out = w;
+  w_out = destuff_run(dst, w, p + i, n - i, pending);
   return pending == 0;
 }
 

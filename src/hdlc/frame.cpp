@@ -105,7 +105,6 @@ BytesView encode_batch_into(FrameArena& arena, const FrameConfig& cfg,
 
   Bytes& wire = arena.wire_;
   wire.clear();
-  arena.spans_.clear();
 
   // One worst-case reservation for the whole batch — the per-frame setup
   // (ACCM tables, CRC slicer, allocation headroom) is amortised across all
@@ -121,9 +120,7 @@ BytesView encode_batch_into(FrameArena& arena, const FrameConfig& cfg,
   for (const BatchFrame& f : frames) {
     fcfg.address = f.address ? *f.address : cfg.address;
     fcfg.control = f.control ? *f.control : cfg.control;
-    const std::size_t start = wire.size();
     encode_append(wire, eng, crc, fcfg, f.protocol, f.payload);
-    arena.spans_.emplace_back(start, wire.size());
   }
   return wire;
 }

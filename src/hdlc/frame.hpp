@@ -8,7 +8,6 @@
 
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "common/types.hpp"
 #include "crc/crc_spec.hpp"
@@ -80,19 +79,12 @@ class FrameArena {
     return tx_engine_ ? &*tx_engine_ : nullptr;
   }
 
-  /// Per-frame wire images of the last encode_batch_into.
-  [[nodiscard]] std::size_t frame_count() const { return spans_.size(); }
-  [[nodiscard]] BytesView frame(std::size_t i) const {
-    return BytesView(wire_.data() + spans_[i].first, spans_[i].second - spans_[i].first);
-  }
-
  private:
   friend BytesView encode_into(FrameArena&, const FrameConfig&, u16, BytesView);
   friend BytesView encode_batch_into(FrameArena&, const FrameConfig&,
                                      std::span<const BatchFrame>);
   friend Bytes build_wire_frame(const FrameConfig&, u16, BytesView);
   Bytes wire_;
-  std::vector<std::pair<std::size_t, std::size_t>> spans_;
   std::optional<fastpath::EscapeEngine> tx_engine_;
 };
 
@@ -110,9 +102,8 @@ class FrameArena {
 
 /// Batched encoder: encode every frame back-to-back into the arena with one
 /// worst-case reservation and one escape-engine/CRC setup for the whole
-/// batch. Returns the concatenated wire stream; arena.frame(i) views the
-/// i-th frame's wire image. Each image is byte-identical to encode_into with
-/// the same (address-overridden) config.
+/// batch. Returns the concatenated wire stream: frame after frame, each image
+/// byte-identical to encode_into with the same (address-overridden) config.
 [[nodiscard]] BytesView encode_batch_into(FrameArena& arena, const FrameConfig& cfg,
                                           std::span<const BatchFrame> frames);
 

@@ -4,6 +4,11 @@ namespace p5::linecard {
 
 namespace {
 
+/// SONET exchanges tolerated with traffic in flight but nothing delivered
+/// before the in-flight count is written off (line errors eat frames;
+/// without this a lossy channel would pump its line forever).
+constexpr u64 kFlushBound = 64;
+
 /// Every way the far end can eat a frame without delivering it: receiver
 /// dispositions (FCS/abort, address filter, malformed, oversize) plus the
 /// shared-memory receive ring dropping a finished frame. Tier-agnostic: both
@@ -20,8 +25,7 @@ Channel::Channel(unsigned index, const ChannelConfig& cfg, ChannelTelemetry& tel
     : index_(index),
       cfg_(cfg),
       tel_(telemetry),
-      link_(std::make_unique<core::P5SonetLink>(cfg.p5, cfg.sts, cfg.line,
-                                                core::resolve_device_tier(cfg.tier))),
+      link_(std::make_unique<core::P5SonetLink>(cfg.p5, cfg.sts, cfg.line, cfg.tier)),
       source_(cfg.ring_capacity),
       fabric_(cfg.ring_capacity),
       egress_(cfg.ring_capacity) {
@@ -98,13 +102,13 @@ bool Channel::step() {
     for (u64 i = 0; i < fresh && !inflight_dest_.empty(); ++i) inflight_dest_.pop_front();
     losses_seen_ = losses;
   }
-  // Loss write-off: once the transmitter has drained and flush_bound
+  // Loss write-off: once the transmitter has drained and kFlushBound
   // exchanges pass with nothing delivered, whatever is still unaccounted was
   // eaten by the line. submitted_ - delivered_ is then exactly the number of
   // admitted-but-never-delivered descriptors (delivered_ only ever advances
   // in reap()), so frames_lost is exact: frames_in == frames_out +
   // frames_lost once the channel is idle.
-  if (in_flight() > 0 && stale_exchanges_ > cfg_.flush_bound &&
+  if (in_flight() > 0 && stale_exchanges_ > kFlushBound &&
       !link_->endpoint_a().tx_pending()) {
     tel_.add_frames_lost(in_flight());
     delivered_ = submitted_;

@@ -32,14 +32,8 @@ struct ChannelConfig {
   core::P5Config p5;                    ///< applied to both ends of the link
   sonet::StsSpec sts = sonet::kSts3c;   ///< tributary pipe (STS-3c, -12c, -48c)
   sonet::LineConfig line;               ///< optical line model (seed offset per channel)
-  /// Datapath tier for both link ends (default-selection point: the
-  /// P5_DEVICE_TIER environment override applies here).
-  core::DeviceTier tier = core::DeviceTier::kCycle;
+  core::DeviceTier tier = core::DeviceTier::kCycle;  ///< datapath tier for both link ends
   std::size_t ring_capacity = 256;      ///< each of source/fabric/egress rings
-  /// SONET exchanges tolerated with traffic in flight but nothing delivered
-  /// before the in-flight count is written off (line errors eat frames;
-  /// without this a lossy channel would pump its line forever).
-  u64 flush_bound = 64;
 };
 
 class Channel {

@@ -4,6 +4,12 @@
 
 namespace p5::linecard {
 
+namespace {
+/// Max egress descriptors forwarded per channel per fabric round (keeps one
+/// noisy channel from starving the others' fabric service).
+constexpr std::size_t kFabricBurst = 64;
+}  // namespace
+
 LineCard::LineCard(const LineCardConfig& cfg)
     : cfg_(cfg), telemetry_(cfg.channels), fabric_(cfg.channels + 1) {
   P5_EXPECTS(cfg.channels >= 1);
@@ -78,7 +84,7 @@ std::size_t LineCard::fabric_round() {
     // escape-engine/CRC setup for the whole burst, which is where the
     // per-frame overhead goes on small-frame traffic.
     fabric_batch_.clear();
-    while (fabric_batch_.size() < cfg_.fabric_burst) {
+    while (fabric_batch_.size() < kFabricBurst) {
       auto d = ch.egress_ring().try_pop();
       if (!d) break;
       fabric_batch_.push_back(std::move(*d));

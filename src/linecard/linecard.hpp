@@ -47,9 +47,6 @@ struct LineCardConfig {
   /// Per-channel template; channel i's optical line runs with
   /// `channel.line.seed + 2*i` so tributaries see independent noise.
   ChannelConfig channel;
-  /// Max egress descriptors forwarded per channel per fabric round (keeps
-  /// one noisy channel from starving the others' fabric service).
-  std::size_t fabric_burst = 64;
 };
 
 class LineCard {

@@ -1,6 +1,6 @@
 // Device tiers: every PPP-over-SONET endpoint in this repo implements the
-// SonetEndpoint interface, and callers pick (or let the environment pick)
-// which implementation carries their traffic.
+// SonetEndpoint interface, and each caller names the implementation that
+// carries its traffic.
 //
 //   * kCycle — P5SonetEndpoint (p5/sonet_link): the cycle-accurate P5
 //     pipeline behind a SONET framer/deframer. Every octet moves through the
@@ -16,11 +16,9 @@
 // leg (testing/diff_oracle): identical delivered payloads, identical
 // receiver dispositions, identical resync behaviour under fault injection.
 //
-// `P5_DEVICE_TIER=cycle|fast` overrides the tier at every *default* selection
-// point (linecard::ChannelConfig, the transport test harnesses, the bench and
-// example binaries). Code that constructs a concrete endpoint class directly
-// — the conformance oracle's reference legs, the cycle-model unit tests — is
-// deliberately not affected.
+// The tier is chosen where the endpoint is built: linecard::ChannelConfig,
+// server::ServerConfig, a `--tier` flag on the examples, or a test that runs
+// its body once per tier.
 #pragma once
 
 #include <functional>
@@ -40,12 +38,6 @@ enum class DeviceTier : u8 {
 };
 
 [[nodiscard]] const char* to_string(DeviceTier tier);
-
-/// Apply the `P5_DEVICE_TIER` environment override: returns the tier named
-/// by the variable when it is set to "cycle" or "fast", otherwise
-/// `configured`. Call this at default-selection points only (see header
-/// comment); unknown values are ignored.
-[[nodiscard]] DeviceTier resolve_device_tier(DeviceTier configured);
 
 /// One end of a PPP-over-SONET link, tier-agnostic: a host-side datagram
 /// interface (shared-memory admission semantics included) plus the two
@@ -104,9 +96,7 @@ class SonetEndpoint {
   [[nodiscard]] virtual u64 rx_overflow_drops() const = 0;
 };
 
-/// Build an endpoint of the requested tier. The tier is taken literally —
-/// apply resolve_device_tier() first if the callsite is a default-selection
-/// point.
+/// Build an endpoint of the requested tier.
 [[nodiscard]] std::unique_ptr<SonetEndpoint> make_sonet_endpoint(DeviceTier tier,
                                                                  const P5Config& cfg,
                                                                  sonet::StsSpec sts);

@@ -1,8 +1,6 @@
 #include "p5/fast_endpoint.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "crc/crc_table.hpp"
@@ -16,15 +14,6 @@ const char* to_string(DeviceTier tier) {
     case DeviceTier::kFast: return "fast";
   }
   return "?";
-}
-
-DeviceTier resolve_device_tier(DeviceTier configured) {
-  const char* env = std::getenv("P5_DEVICE_TIER");
-  if (env) {
-    if (std::strcmp(env, "cycle") == 0) return DeviceTier::kCycle;
-    if (std::strcmp(env, "fast") == 0) return DeviceTier::kFast;
-  }
-  return configured;
 }
 
 std::unique_ptr<SonetEndpoint> make_sonet_endpoint(DeviceTier tier, const P5Config& cfg,

@@ -6,6 +6,11 @@
 
 namespace p5::server {
 
+namespace {
+constexpr std::size_t kIntakePerRing = 128;  ///< uplink datagrams taken per shard ring per step
+constexpr int kListenBacklog = 256;
+}  // namespace
+
 // ---------------------------------------------------------------- Uplink
 
 void Uplink::stage(UplinkItem&& item) {
@@ -23,7 +28,7 @@ void Uplink::stage(UplinkItem&& item) {
 
 std::size_t Uplink::step() {
   for (auto* ring : rings_) {
-    ring->drain(cfg_.intake_per_ring, [this](UplinkItem&& item) { stage(std::move(item)); });
+    ring->drain(kIntakePerRing, [this](UplinkItem&& item) { stage(std::move(item)); });
   }
   if (active_.empty()) return 0;
 
@@ -92,16 +97,14 @@ TunnelServer::TunnelServer(ServerConfig cfg)
     : cfg_(std::move(cfg)),
       tenants_(cfg_.tenant_defaults),
       uplink_(Uplink::Config{cfg_.uplink_stage_frames, cfg_.uplink_budget_bytes,
-                             cfg_.drr_quantum_bytes, /*intake_per_ring=*/128},
+                             cfg_.drr_quantum_bytes},
               tenants_) {
   P5_EXPECTS(cfg_.shards >= 1);
   P5_EXPECTS(!cfg_.listeners.empty());
-  cfg_.tier = core::resolve_device_tier(cfg_.tier);  // default-selection point
   for (std::size_t i = 0; i < cfg_.shards; ++i) {
     ShardConfig sc;
     sc.index = i;
     sc.adoption_ring = cfg_.adoption_ring;
-    sc.uplink_ring = cfg_.uplink_ring;
     sc.conn = cfg_.conn;
     shards_.push_back(std::make_unique<Shard>(sc, make_env()));
     uplink_.attach(*shards_.back());
@@ -136,68 +139,46 @@ SessionEnv TunnelServer::make_env() {
   return env;
 }
 
-bool TunnelServer::bind_listener(const ListenerSpec& spec, std::size_t spec_index,
-                                 std::size_t shard_index) {
-  transport::SocketAddr addr{cfg_.host, spec.port};
-  // Per-shard reuseport listeners on a kernel-picked port must all share the
-  // port the first bind got, not five fresh ones.
-  if (cfg_.reuseport && spec.port == 0) {
-    for (const Listener& l : listeners_) {
-      if (l.spec_index == spec_index) {
-        addr.port = transport::local_port(l.fd.get());
-        break;
-      }
-    }
-  }
-  transport::Fd fd = transport::tcp_listen(addr, cfg_.listen_backlog, cfg_.reuseport);
+bool TunnelServer::bind_listener(const ListenerSpec& spec) {
+  const transport::SocketAddr addr{cfg_.host, spec.port};
+  transport::Fd fd = transport::tcp_listen(addr, kListenBacklog);
   if (!fd.valid()) {
     last_error_ = "bind failed on " + addr.host + ":" + std::to_string(addr.port);
     return false;
   }
   const std::size_t listener_index = listeners_.size();
-  listeners_.push_back(Listener{std::move(fd), spec_index, shard_index});
-  shards_[shard_index]->loop().add_fd(listeners_.back().fd.get(), transport::kReadable,
-                                      [this, listener_index](u32) {
-                                        on_acceptable(listener_index);
-                                      });
+  listeners_.push_back(std::move(fd));
+  shards_[0]->loop().add_fd(listeners_.back().get(), transport::kReadable,
+                            [this, listener_index](u32) { on_acceptable(listener_index); });
   return true;
 }
 
 bool TunnelServer::start() {
   P5_EXPECTS(!started_);
-  listeners_.reserve(cfg_.listeners.size() * (cfg_.reuseport ? cfg_.shards : 1));
-  for (std::size_t si = 0; si < cfg_.listeners.size(); ++si) {
-    if (cfg_.reuseport) {
-      for (std::size_t sh = 0; sh < shards_.size(); ++sh) {
-        if (!bind_listener(cfg_.listeners[si], si, sh)) return false;
-      }
-    } else {
-      if (!bind_listener(cfg_.listeners[si], si, /*shard_index=*/0)) return false;
-    }
+  listeners_.reserve(cfg_.listeners.size());
+  for (const ListenerSpec& spec : cfg_.listeners) {
+    if (!bind_listener(spec)) return false;
   }
   started_ = true;
   return true;
 }
 
 void TunnelServer::on_acceptable(std::size_t listener_index) {
-  const Listener& l = listeners_[listener_index];
-  // Level-triggered loops accept everything pending; with fan-out the
-  // batch is spread round-robin so a connect burst lands evenly.
+  // Level-triggered loops accept everything pending; the batch is spread
+  // round-robin so a connect burst lands evenly.
   for (;;) {
-    transport::Fd fd = transport::tcp_accept(l.fd.get());
+    transport::Fd fd = transport::tcp_accept(listeners_[listener_index].get());
     if (!fd.valid()) break;
     accepts_.fetch_add(1, std::memory_order_relaxed);
-    dispatch(PendingConn{fd.release(), cfg_.listeners[l.spec_index].tenant}, l.shard_index);
+    dispatch(PendingConn{fd.release(), cfg_.listeners[listener_index].tenant});
   }
 }
 
-void TunnelServer::dispatch(PendingConn pc, std::size_t accept_shard) {
-  std::size_t target = accept_shard;
-  if (!cfg_.reuseport) {  // fan-out: the accepting shard spreads the load
-    target = rr_next_;
-    rr_next_ = (rr_next_ + 1) % shards_.size();
-  }
-  (void)shards_[target]->offer(std::move(pc), /*same_context=*/target == accept_shard);
+void TunnelServer::dispatch(PendingConn pc) {
+  // Shard 0 accepts and spreads the load; only its own share skips the ring.
+  const std::size_t target = rr_next_;
+  rr_next_ = (rr_next_ + 1) % shards_.size();
+  (void)shards_[target]->offer(std::move(pc), /*same_context=*/target == 0);
 }
 
 void TunnelServer::run() {
@@ -236,10 +217,8 @@ std::size_t TunnelServer::step() {
 }
 
 u16 TunnelServer::port(std::size_t listener_idx) const {
-  for (const Listener& l : listeners_) {
-    if (l.spec_index == listener_idx) return transport::local_port(l.fd.get());
-  }
-  return 0;
+  return listener_idx < listeners_.size() ? transport::local_port(listeners_[listener_idx].get())
+                                          : 0;
 }
 
 std::size_t TunnelServer::sessions_active() const {

@@ -1,12 +1,10 @@
 // TunnelServer — the C10K termination point for P5-framed SONET streams.
 //
 // N shards (shard.hpp), each with its own EventLoop and its own slice of the
-// accepted connections; connections arrive either through shared listeners
-// on shard 0 with round-robin accept fan-out over the adoption rings, or —
-// with `reuseport` — through per-shard SO_REUSEPORT listeners the kernel
-// spreads accepts across. Every bound session terminates a fast-tier
-// SonetEndpoint (the tier is a default-selection point: P5_DEVICE_TIER
-// applies), and decoded datagrams are routed per RouteMode:
+// accepted connections; connections arrive through listeners on shard 0,
+// whose accept fan-out spreads them round-robin over the adoption rings.
+// Every bound session terminates a SonetEndpoint of ServerConfig::tier (fast
+// by default), and decoded datagrams are routed per RouteMode:
 //
 //   kEcho   — back down the same tunnel (client round-trip verification);
 //   kSink   — counted and dropped (goodput measurement);
@@ -55,22 +53,19 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   std::vector<ListenerSpec> listeners = {{}};
   std::size_t shards = 1;
-  bool reuseport = false;  ///< per-shard listeners instead of accept fan-out
 
   RouteMode route = RouteMode::kEcho;
-  core::DeviceTier tier = core::DeviceTier::kFast;  ///< resolved in the ctor
+  core::DeviceTier tier = core::DeviceTier::kFast;
   core::P5Config device;
   sonet::StsSpec sts = sonet::kSts3c;
 
   transport::ConnConfig conn;
   std::size_t frames_per_pump = 8;
-  int listen_backlog = 256;
 
   std::size_t max_sessions_total = 0;  ///< server-wide cap; 0 = unlimited
   TenantConfig tenant_defaults;        ///< limits for tenants never configure()d
 
   std::size_t adoption_ring = 256;   ///< per-shard pending-connection slots
-  std::size_t uplink_ring = 1024;    ///< per-shard handoff slots
   std::size_t uplink_stage_frames = 256;  ///< per-tenant DRR staging bound
   std::size_t uplink_budget_bytes = 0;    ///< DRR bytes per step; 0 = unlimited
   u32 drr_quantum_bytes = 4096;      ///< default tenant quantum
@@ -91,7 +86,6 @@ class Uplink {
     std::size_t stage_frames = 256;
     std::size_t budget_bytes = 0;
     u32 quantum_bytes = 4096;
-    std::size_t intake_per_ring = 128;
   };
   using Sink = std::function<void(u32 tenant, u16 protocol, BytesView payload)>;
 
@@ -176,22 +170,16 @@ class TunnelServer {
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
 
  private:
-  struct Listener {
-    transport::Fd fd;
-    std::size_t spec_index = 0;
-    std::size_t shard_index = 0;
-  };
-
   SessionEnv make_env();
-  bool bind_listener(const ListenerSpec& spec, std::size_t spec_index, std::size_t shard_index);
+  bool bind_listener(const ListenerSpec& spec);
   void on_acceptable(std::size_t listener_index);
-  void dispatch(PendingConn pc, std::size_t accept_shard);
+  void dispatch(PendingConn pc);
 
   ServerConfig cfg_;
   TenantRegistry tenants_;
   Uplink uplink_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<Listener> listeners_;
+  std::vector<transport::Fd> listeners_;  ///< index = ListenerSpec index
   std::string last_error_;
 
   std::atomic<u64> accepts_{0};

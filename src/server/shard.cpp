@@ -8,11 +8,16 @@
 
 namespace p5::server {
 
+namespace {
+constexpr std::size_t kUplinkRing = 1024;        ///< per-shard handoff slots
+constexpr std::size_t kAdoptionsPerSlice = 64;
+}  // namespace
+
 Shard::Shard(ShardConfig cfg, SessionEnv env_template)
     : cfg_(cfg),
       env_template_(std::move(env_template)),
       adoption_ring_(cfg.adoption_ring),
-      uplink_ring_(cfg.uplink_ring) {
+      uplink_ring_(kUplinkRing) {
   env_template_.loop = &loop_;
   env_template_.transport_tel = &tel_;
   // Sessions hand decoded datagrams to *their own shard's* ring — this shard
@@ -53,7 +58,7 @@ void Shard::adopt_now(PendingConn pc) {
 }
 
 void Shard::drain_adoptions() {
-  adoption_ring_.drain(cfg_.adoptions_per_slice,
+  adoption_ring_.drain(kAdoptionsPerSlice,
                        [this](PendingConn&& pc) { adopt_now(std::move(pc)); });
 }
 

@@ -49,8 +49,6 @@ struct UplinkItem {
 struct ShardConfig {
   std::size_t index = 0;
   std::size_t adoption_ring = 256;
-  std::size_t uplink_ring = 1024;
-  std::size_t adoptions_per_slice = 64;
   transport::ConnConfig conn;
 };
 

@@ -16,12 +16,6 @@ u64 splitmix(u64 x) {
   return x ^ (x >> 31);
 }
 
-std::optional<u64> env_u64(const char* name) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return std::nullopt;
-  return std::strtoull(v, nullptr, 0);  // accepts decimal and 0x-prefixed hex
-}
-
 /// Run the body once at (seed, size); returns the failure message or empty.
 std::string run_case(const std::function<void(CaseContext&)>& body, u64 index, u64 seed,
                      std::size_t size) {
@@ -36,6 +30,12 @@ std::string run_case(const std::function<void(CaseContext&)>& body, u64 index, u
 }
 
 }  // namespace
+
+std::optional<u64> env_u64(const char* name) {
+  const char* v = std::getenv(name);
+  if (!v || !*v) return std::nullopt;
+  return std::strtoull(v, nullptr, 0);
+}
 
 u64 resolved_seed(u64 fallback) { return env_u64("P5_TEST_SEED").value_or(fallback); }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -55,6 +56,11 @@ struct PropertyResult {
 
   explicit operator bool() const { return ok; }
 };
+
+/// The unsigned integer held by environment variable `name` (decimal or
+/// 0x-prefixed hex); nullopt when it is unset or empty. Every test-side
+/// override reads through here.
+[[nodiscard]] std::optional<u64> env_u64(const char* name);
 
 /// Base seed / case count after applying the environment overrides.
 [[nodiscard]] u64 resolved_seed(u64 fallback);

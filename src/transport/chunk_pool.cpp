@@ -17,7 +17,6 @@ struct ChunkPool::Core {
 
 struct ChunkRef::Chunk {
   Bytes data;
-  u32 refs = 0;
   std::shared_ptr<ChunkPool::Core> core;
 };
 
@@ -36,13 +35,9 @@ BytesView ChunkRef::view() const {
   return BytesView(c_->data.data(), c_->data.size());
 }
 
-void ChunkRef::retain() {
-  if (c_) ++c_->refs;
-}
-
 void ChunkRef::release() {
   Chunk* c = std::exchange(c_, nullptr);
-  if (c == nullptr || --c->refs > 0) return;
+  if (c == nullptr) return;
   ChunkPool::Core& core = *c->core;
   core.outstanding.fetch_sub(1, std::memory_order_relaxed);
   if (core.closed || core.free_list.size() >= core.cfg.max_free) {
@@ -87,7 +82,6 @@ ChunkRef ChunkPool::acquire(std::size_t reserve_bytes) {
   }
   c->data.clear();
   c->data.reserve(reserve_bytes);
-  c->refs = 1;
   core_->outstanding.fetch_add(1, std::memory_order_relaxed);
   return ChunkRef(c);
 }

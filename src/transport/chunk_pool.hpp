@@ -1,5 +1,5 @@
-// ChunkPool: a free-list of refcounted wire-chunk buffers shared by conns,
-// tunnels, and server sessions.
+// ChunkPool: a free-list of wire-chunk buffers shared by conns, tunnels,
+// and server sessions.
 //
 // The transport hot path used to pay one fresh heap Bytes per chunk on TX
 // (send_frame allocated, the socket consumed, the vector died). The pool
@@ -10,10 +10,10 @@
 // flush sends it straight from the pool, zero further copies.
 //
 // Lifetime rules (DESIGN.md §15):
-//   * ChunkRef is the only handle: copying bumps a refcount, the last ref
-//     returns the buffer to the free list. Refcounts are plain integers —
-//     chunks never cross threads (each conn lives on one EventLoop thread),
-//     matching the single-writer discipline of TransportTelemetry.
+//   * ChunkRef is the only handle and it is move-only: the one ref that
+//     holds a buffer returns it to the free list. Chunks never cross threads
+//     (each conn lives on one EventLoop thread), matching the single-writer
+//     discipline of TransportTelemetry.
 //   * The pool may die before its chunks: a Tunnel teardown can race a
 //     queued chunk held by a deferred close. The free list lives in a
 //     shared core; once the pool closes, late releases simply free instead
@@ -39,21 +39,14 @@ namespace p5::transport {
 class TransportTelemetry;
 class ChunkPool;
 
-/// Refcounted handle to one pooled buffer. Default-constructed refs are
-/// empty; data() may only be called on a non-empty ref.
+/// Owning, move-only handle to one pooled buffer. Default-constructed refs
+/// are empty; data() may only be called on a non-empty ref.
 class ChunkRef {
  public:
   ChunkRef() = default;
-  ChunkRef(const ChunkRef& o) : c_(o.c_) { retain(); }
+  ChunkRef(const ChunkRef&) = delete;
+  ChunkRef& operator=(const ChunkRef&) = delete;
   ChunkRef(ChunkRef&& o) noexcept : c_(std::exchange(o.c_, nullptr)) {}
-  ChunkRef& operator=(const ChunkRef& o) {
-    if (this != &o) {
-      release();
-      c_ = o.c_;
-      retain();
-    }
-    return *this;
-  }
   ChunkRef& operator=(ChunkRef&& o) noexcept {
     if (this != &o) {
       release();
@@ -74,7 +67,6 @@ class ChunkRef {
   friend class ChunkPool;
   struct Chunk;
   explicit ChunkRef(Chunk* c) : c_(c) {}
-  void retain();
   void release();
   Chunk* c_ = nullptr;
 };
@@ -85,7 +77,7 @@ class ChunkPool {
     std::size_t max_free = 256;                  ///< free-list buffers retained
     std::size_t retain_capacity = 256 * 1024;    ///< trim buffers grown past this
   };
-  /// Point-in-time counter copy; `outstanding` is live referenced chunks.
+  /// Point-in-time counter copy; `outstanding` is chunks held by a live ref.
   struct Counters {
     u64 allocated = 0;  ///< fresh heap buffers ever created
     u64 recycled = 0;   ///< acquires served from the free list
@@ -101,7 +93,7 @@ class ChunkPool {
   ChunkPool(const ChunkPool&) = delete;
   ChunkPool& operator=(const ChunkPool&) = delete;
 
-  /// A cleared buffer with at least `reserve_bytes` capacity, refcount 1.
+  /// A cleared buffer with at least `reserve_bytes` capacity.
   [[nodiscard]] ChunkRef acquire(std::size_t reserve_bytes);
   [[nodiscard]] Counters counters() const;
 

@@ -26,6 +26,18 @@ constexpr std::size_t kMaxIov = IOV_MAX < 64 ? IOV_MAX : 64;
 /// (every frame parsed) resets the cursors without any copy at all.
 constexpr std::size_t kRxCompactBytes = 256 * 1024;
 
+/// Length-prefix sanity bound: a larger prefix is a protocol error, never a
+/// reason to wait for gigabytes.
+constexpr std::size_t kMaxFrameBytes = 4 * 1024 * 1024;
+
+/// Octets asked of one recv().
+constexpr std::size_t kReadChunkBytes = 64 * 1024;
+
+/// RX buffer capacity kept once a burst is fully parsed, so an idle conn
+/// doesn't pin megabytes.
+constexpr std::size_t kRxRetainBytes = 1024 * 1024;
+static_assert(kRxRetainBytes >= kReadChunkBytes);
+
 }  // namespace
 
 bool Conn::deliver_frames(std::span<const BytesView> frames) {
@@ -49,7 +61,6 @@ StreamConn::StreamConn(EventLoop& loop, TransportTelemetry& stats, ConnConfig cf
     (void)::setsockopt(fd_.get(), SOL_SOCKET, SO_SNDBUF, &cfg_.so_sndbuf_bytes, sizeof(int));
   }
   established_ = !connecting;
-  last_rx_ms_ = loop_.now_ms();
   loop_.add_fd(fd_.get(), connecting ? kWritable : kReadable,
                [this](u32 events) { handle_events(events); });
   if (established_) {
@@ -119,7 +130,6 @@ void StreamConn::finish_connect() {
     return;
   }
   established_ = true;
-  last_rx_ms_ = loop_.now_ms();
   update_interest();
   if (on_open_) on_open_();
 }
@@ -179,21 +189,19 @@ void StreamConn::flush_write() {
 void StreamConn::ensure_rx_room() {
   if (rx_off_ == rx_len_) {
     rx_off_ = rx_len_ = 0;
-    // Fully drained: cap the capacity a large burst left behind so an idle
-    // conn doesn't pin megabytes.
-    const std::size_t retain = std::max(cfg_.rx_retain_bytes, cfg_.read_chunk_bytes);
-    if (rx_buf_.size() > retain) {
-      rx_buf_.resize(retain);
+    // Fully drained: cap the capacity a large burst left behind.
+    if (rx_buf_.size() > kRxRetainBytes) {
+      rx_buf_.resize(kRxRetainBytes);
       rx_buf_.shrink_to_fit();
     }
   } else if (rx_off_ > 0 &&
-             (rx_off_ >= kRxCompactBytes || rx_buf_.size() - rx_len_ < cfg_.read_chunk_bytes)) {
+             (rx_off_ >= kRxCompactBytes || rx_buf_.size() - rx_len_ < kReadChunkBytes)) {
     std::memmove(rx_buf_.data(), rx_buf_.data() + rx_off_, rx_len_ - rx_off_);
     rx_len_ -= rx_off_;
     rx_off_ = 0;
   }
-  if (rx_buf_.size() < rx_len_ + cfg_.read_chunk_bytes) {
-    rx_buf_.resize(std::max(rx_len_ + cfg_.read_chunk_bytes, rx_buf_.size() * 2));
+  if (rx_buf_.size() < rx_len_ + kReadChunkBytes) {
+    rx_buf_.resize(std::max(rx_len_ + kReadChunkBytes, rx_buf_.size() * 2));
   }
 }
 
@@ -202,7 +210,7 @@ void StreamConn::read_some() {
   // cannot monopolise a run_once slice.
   for (int burst = 0; burst < 4; ++burst) {
     ensure_rx_room();
-    const ssize_t n = ::recv(fd_.get(), rx_buf_.data() + rx_len_, cfg_.read_chunk_bytes, 0);
+    const ssize_t n = ::recv(fd_.get(), rx_buf_.data() + rx_len_, kReadChunkBytes, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
@@ -215,9 +223,8 @@ void StreamConn::read_some() {
     }
     stats_.rx_syscall();
     rx_len_ += static_cast<std::size_t>(n);
-    last_rx_ms_ = loop_.now_ms();
     if (!parse_frames()) return;  // proto error / callback closed us
-    if (static_cast<std::size_t>(n) < cfg_.read_chunk_bytes) return;
+    if (static_cast<std::size_t>(n) < kReadChunkBytes) return;
   }
 }
 
@@ -227,7 +234,7 @@ bool StreamConn::parse_frames() {
   std::size_t off = rx_off_;
   while (rx_len_ - off >= 4) {
     const u32 len = get_be32(rx_buf_, off);
-    if (len > cfg_.max_frame_bytes) {
+    if (len > kMaxFrameBytes) {
       bad_length = true;
       break;
     }
@@ -290,7 +297,6 @@ DgramConn::DgramConn(EventLoop& loop, TransportTelemetry& stats, ConnConfig cfg,
   if (cfg_.so_sndbuf_bytes > 0) {
     (void)::setsockopt(fd_.get(), SOL_SOCKET, SO_SNDBUF, &cfg_.so_sndbuf_bytes, sizeof(int));
   }
-  last_rx_ms_ = loop_.now_ms();
   rx_slots_.resize(kDgramBatch);
   for (Bytes& slot : rx_slots_) slot.resize(65536);
   loop_.add_fd(fd_.get(), kReadable, [this](u32 events) {
@@ -400,7 +406,6 @@ void DgramConn::read_some() {
     }
     if (n == 0) return;
     stats_.rx_syscall();
-    last_rx_ms_ = loop_.now_ms();
     if (!has_peer_) {
       // Listener side: lock onto the first talker so sends have a target.
       if (::connect(fd_.get(), reinterpret_cast<sockaddr*>(&addrs[0]),

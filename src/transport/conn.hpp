@@ -46,9 +46,6 @@ namespace p5::transport {
 
 struct ConnConfig {
   std::size_t send_watermark_bytes = 256 * 1024;  ///< queue cap before stalls
-  std::size_t max_frame_bytes = 4 * 1024 * 1024;  ///< length-prefix sanity bound
-  std::size_t read_chunk_bytes = 64 * 1024;       ///< per-readable recv slice
-  std::size_t rx_retain_bytes = 1024 * 1024;      ///< RX buffer capacity kept after a burst
   int so_sndbuf_bytes = 0;  ///< setsockopt(SO_SNDBUF) at adoption; 0 = kernel default
 };
 
@@ -92,8 +89,6 @@ class Conn {
   void set_on_closed(std::function<void()> cb) { on_closed_ = std::move(cb); }
   void set_on_drained(std::function<void()> cb) { on_drained_ = std::move(cb); }
 
-  [[nodiscard]] u64 last_rx_ms() const { return last_rx_ms_; }
-
  protected:
   /// Hand a parsed burst to on_frames. Returns false when the callback
   /// closed the connection.
@@ -106,7 +101,6 @@ class Conn {
   std::function<void()> on_open_;
   std::function<void()> on_closed_;
   std::function<void()> on_drained_;
-  u64 last_rx_ms_ = 0;
 };
 
 /// TCP carrier: [u32 BE length][payload] per chunk, write-queue backpressure.

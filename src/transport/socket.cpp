@@ -56,19 +56,13 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-Fd tcp_listen(const SocketAddr& addr, int backlog, bool reuseport) {
+Fd tcp_listen(const SocketAddr& addr, int backlog) {
   sockaddr_in sa;
   if (!fill_sockaddr(addr, sa)) return Fd();
   Fd fd = make_socket(SOCK_STREAM);
   if (!fd.valid()) return fd;
   const int one = 1;
   (void)::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport) {
-    if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      fd.reset();  // shard fan-out silently collapsing to one listener is worse
-      return fd;
-    }
-  }
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
       ::listen(fd.get(), backlog) != 0) {
     fd.reset();

@@ -54,10 +54,8 @@ struct SocketAddr {
 
 [[nodiscard]] bool set_nonblocking(int fd);
 
-/// Nonblocking TCP listener (SO_REUSEADDR). `reuseport` additionally sets
-/// SO_REUSEPORT so N shards can each bind their own listener on one port
-/// and let the kernel spread accepts across them. Invalid Fd on failure.
-[[nodiscard]] Fd tcp_listen(const SocketAddr& addr, int backlog = 8, bool reuseport = false);
+/// Nonblocking TCP listener (SO_REUSEADDR). Invalid Fd on failure.
+[[nodiscard]] Fd tcp_listen(const SocketAddr& addr, int backlog = 8);
 /// Accept one pending connection, nonblocking. Invalid Fd when none waits.
 [[nodiscard]] Fd tcp_accept(int listen_fd);
 /// Begin a nonblocking connect. `in_progress` reports EINPROGRESS (wait for

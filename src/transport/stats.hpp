@@ -38,9 +38,8 @@ struct TransportSnapshot {
   // Connection lifecycle.
   u64 connects = 0;       ///< first-time establishments (connect or accept)
   u64 reconnects = 0;     ///< re-establishments after a drop
-  u64 disconnects = 0;    ///< connection losses (error, EOF, idle, kill)
+  u64 disconnects = 0;    ///< connection losses (error, EOF, kill)
   u64 backoff_waits = 0;  ///< reconnect backoff sleeps taken
-  u64 idle_timeouts = 0;  ///< connections dropped for receive silence
 
   // Flow control and framing health.
   u64 backpressure_stalls = 0;  ///< pump deferred: write queue at watermark
@@ -102,7 +101,6 @@ class TransportTelemetry {
   }
   void on_disconnect() { c_.add<&S::disconnects>(1); }
   void backoff_wait() { c_.add<&S::backoff_waits>(1); }
-  void idle_timeout() { c_.add<&S::idle_timeouts>(1); }
   void backpressure_stall() { c_.add<&S::backpressure_stalls>(1); }
   void note_queue_depth(std::size_t bytes) { c_.raise<&S::send_queue_hwm>(bytes); }
   void proto_error() { c_.add<&S::proto_errors>(1); }

@@ -8,6 +8,10 @@
 
 namespace p5::transport {
 
+namespace {
+constexpr double kBackoffJitter = 0.25;  ///< +/- fraction applied to each reconnect delay
+}  // namespace
+
 // ------------------------------------------------------------ TunnelBinding
 
 TunnelBinding TunnelBinding::endpoint(core::SonetEndpoint& ep) {
@@ -93,7 +97,6 @@ Tunnel::Tunnel(EventLoop& loop, TunnelBinding binding, TunnelConfig cfg)
 
 Tunnel::~Tunnel() {
   *alive_ = false;
-  if (idle_timer_) loop_.cancel_timer(idle_timer_);
   if (listen_fd_.valid()) loop_.remove_fd(listen_fd_.get());
   // conn_ destructs with notify=false: no callbacks fire from here.
 }
@@ -182,17 +185,12 @@ void Tunnel::on_established() {
   backoff_ms_ = 0;  // a fresh outage restarts the exponential ladder
   backoff_spent_ms_ = 0;
   last_tx_ms_ = loop_.now_ms();
-  arm_idle_timer();
   pump();  // opportunistic first slice cuts establishment latency
 }
 
 void Tunnel::on_conn_closed() {
   if (conn_ && conn_->open()) return;  // already replaced by a fresh peer
   conn_.reset();
-  if (idle_timer_) {
-    loop_.cancel_timer(idle_timer_);
-    idle_timer_ = 0;
-  }
   if (state_ == TunnelState::kDraining || state_ == TunnelState::kClosed) {
     state_ = TunnelState::kClosed;
     return;
@@ -211,12 +209,10 @@ void Tunnel::on_conn_closed() {
 
 void Tunnel::schedule_reconnect() {
   if (backoff_ms_ == 0) backoff_ms_ = std::max<u64>(1, cfg_.backoff_initial_ms);
-  u64 delay = backoff_ms_;
-  if (cfg_.backoff_jitter > 0.0) {
-    const double unit = static_cast<double>(rng_.next() >> 11) * 0x1.0p-53;  // [0,1)
-    const double factor = 1.0 + cfg_.backoff_jitter * (2.0 * unit - 1.0);
-    delay = std::max<u64>(1, static_cast<u64>(static_cast<double>(delay) * factor));
-  }
+  const double unit = static_cast<double>(rng_.next() >> 11) * 0x1.0p-53;  // [0,1)
+  const double factor = 1.0 + kBackoffJitter * (2.0 * unit - 1.0);
+  const u64 delay =
+      std::max<u64>(1, static_cast<u64>(static_cast<double>(backoff_ms_) * factor));
   if (cfg_.backoff_budget_ms != 0 && backoff_spent_ms_ + delay > cfg_.backoff_budget_ms) {
     state_ = TunnelState::kFailed;
     return;
@@ -230,30 +226,8 @@ void Tunnel::schedule_reconnect() {
   });
 }
 
-void Tunnel::arm_idle_timer() {
-  if (cfg_.idle_timeout_ms == 0) return;
-  const u64 check = std::max<u64>(1, cfg_.idle_timeout_ms / 2);
-  idle_timer_ = loop_.add_timer(check, [this, alive = alive_] {
-    if (*alive) idle_check();
-  });
-}
-
-void Tunnel::idle_check() {
-  idle_timer_ = 0;
-  if (state_ != TunnelState::kConnected || !conn_ || !conn_->open()) return;
-  const u64 silent = loop_.now_ms() - conn_->last_rx_ms();
-  if (silent >= cfg_.idle_timeout_ms) {
-    tel_.idle_timeout();
-    conn_->close();  // timer context, not the conn's stack
-    return;
-  }
-  arm_idle_timer();
-}
-
 std::size_t Tunnel::pump() {
-  for (std::size_t i = 0; i < cfg_.steps_per_pump; ++i) {
-    if (binding_.step) binding_.step();
-  }
+  if (binding_.step) binding_.step();
   if (state_ != TunnelState::kConnected || !conn_) return 0;
   std::size_t sent = 0;
   while (sent < cfg_.frames_per_pump) {

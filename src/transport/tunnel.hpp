@@ -76,15 +76,12 @@ struct TunnelConfig {
 
   u64 backoff_initial_ms = 50;
   u64 backoff_max_ms = 2000;
-  double backoff_jitter = 0.25;  ///< +/- fraction applied to each delay
-  u64 backoff_budget_ms = 0;     ///< cumulative backoff before kFailed; 0 = keep trying
+  u64 backoff_budget_ms = 0;  ///< cumulative backoff before kFailed; 0 = keep trying
 
-  u64 idle_timeout_ms = 0;  ///< drop a peer after this much RX silence; 0 = off
-  u64 keepalive_ms = 0;     ///< pull_raw fill when TX idles this long; 0 = off
+  u64 keepalive_ms = 0;  ///< pull_raw fill when TX idles this long; 0 = off
 
   std::size_t frames_per_pump = 8;  ///< TX chunks per pump() slice
-  std::size_t steps_per_pump = 1;   ///< binding.step() calls per pump()
-  ConnConfig conn;                  ///< watermark / framing bounds
+  ConnConfig conn;                  ///< watermark / socket buffer
   u64 seed = 0x9E3779B97F4A7C15ull;  ///< backoff jitter stream
 };
 
@@ -150,8 +147,6 @@ class Tunnel {
   void on_established();
   void on_conn_closed();
   void schedule_reconnect();
-  void arm_idle_timer();
-  void idle_check();
   void finish_drain();
   void deliver(std::span<const BytesView> chunks);
 
@@ -176,7 +171,6 @@ class Tunnel {
   u64 backoff_ms_ = 0;        ///< next reconnect delay (0 = fresh sequence)
   u64 backoff_spent_ms_ = 0;  ///< cumulative this outage, against budget
   u64 last_tx_ms_ = 0;        ///< keepalive reference
-  EventLoop::TimerId idle_timer_ = 0;
   std::function<void(Bytes&)> rx_tap_;
   std::vector<Bytes> tap_scratch_;       ///< tap-mutated copies, one per chunk
   std::vector<BytesView> tap_survivors_; ///< the burst minus tap-eaten chunks

@@ -255,7 +255,6 @@ TEST(CounterBlock, TransportEventsLandInTheirFields) {
   repeat(7, [&] { tel.on_connect(true); });
   repeat(8, [&] { tel.on_disconnect(); });
   repeat(9, [&] { tel.backoff_wait(); });
-  repeat(10, [&] { tel.idle_timeout(); });
   repeat(11, [&] { tel.backpressure_stall(); });
   tel.note_queue_depth(4096);
   tel.note_queue_depth(1024);
@@ -276,7 +275,6 @@ TEST(CounterBlock, TransportEventsLandInTheirFields) {
   EXPECT_EQ(s.reconnects, 7u);
   EXPECT_EQ(s.disconnects, 8u);
   EXPECT_EQ(s.backoff_waits, 9u);
-  EXPECT_EQ(s.idle_timeouts, 10u);
   EXPECT_EQ(s.backpressure_stalls, 11u);
   EXPECT_EQ(s.send_queue_hwm, 4096u);
   EXPECT_EQ(s.proto_errors, 12u);
@@ -331,13 +329,13 @@ TEST(CounterBlock, MergeSumsFlowsAndKeepsThePeakOfHighWaterMarks) {
   EXPECT_EQ(ch, (ChannelSnapshot{11, 22, 33, 44, 55, 66, 77, 80, 90, 110, 121, 132}));
 
   using transport::TransportSnapshot;
-  TransportSnapshot tx{1, 2,  3,  4,  5,  6,  7,  8,  9, 10, 11, 12, 13, 14,
+  TransportSnapshot tx{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14,
                        /*send_queue_hwm=*/1500, 16, 17, 18, 19};
-  const TransportSnapshot more{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140,
+  const TransportSnapshot more{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 140,
                                /*send_queue_hwm=*/150, 160, 170, 180, 190};
   tx += more;
   EXPECT_EQ(tx.send_queue_hwm, 1500u);
-  EXPECT_EQ(tx, (TransportSnapshot{11, 22, 33, 44, 55, 66, 77, 88, 99, 110, 121, 132, 143, 154,
+  EXPECT_EQ(tx, (TransportSnapshot{11, 22, 33, 44, 55, 66, 77, 88, 99, 110, 121, 132, 154,
                                    1500, 176, 187, 198, 209}));
   TransportSnapshot deeper{};
   deeper.send_queue_hwm = 9000;

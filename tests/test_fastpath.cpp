@@ -474,8 +474,8 @@ TEST(EscapeEngine, EncodeBatchMatchesPerFrameEncode) {
 
   hdlc::FrameArena batch_arena;
   const BytesView stream = hdlc::encode_batch_into(batch_arena, cfg, frames);
-  ASSERT_EQ(batch_arena.frame_count(), frames.size());
 
+  // Each single-frame image must be the next slice of the batch stream.
   hdlc::FrameArena single_arena;
   std::size_t off = 0;
   for (std::size_t i = 0; i < frames.size(); ++i) {
@@ -483,10 +483,9 @@ TEST(EscapeEngine, EncodeBatchMatchesPerFrameEncode) {
     if (frames[i].address) fcfg.address = *frames[i].address;
     const BytesView want = hdlc::encode_into(single_arena, fcfg, frames[i].protocol,
                                              payloads[i]);
-    const BytesView got = batch_arena.frame(i);
-    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end())) << "frame " << i;
-    ASSERT_TRUE(std::equal(got.begin(), got.end(), stream.begin() + off)) << "span " << i;
-    off += got.size();
+    ASSERT_LE(off + want.size(), stream.size()) << "frame " << i;
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), stream.begin() + off)) << "frame " << i;
+    off += want.size();
   }
   EXPECT_EQ(off, stream.size());
 }

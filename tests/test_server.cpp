@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "p5/endpoint.hpp"
 #include "server/hello.hpp"
 #include "server/server.hpp"
+#include "testing/property.hpp"
 #include "transport/tunnel.hpp"
 
 namespace p5::server {
@@ -52,15 +52,14 @@ Bytes stamped_payload(u32 client, u32 seq, std::size_t len, Xoshiro256& rng) {
   return p;
 }
 
-/// One tunnel client on a (shared) loop, fast tier unless overridden.
+/// One fast-tier tunnel client on a (shared) loop.
 struct Client {
   std::unique_ptr<core::SonetEndpoint> ep;
   std::unique_ptr<Tunnel> tun;
 
   Client(EventLoop& loop, u16 port, std::optional<u32> hello_tenant = std::nullopt,
-         TunnelConfig extra = {},
-         core::DeviceTier tier = core::resolve_device_tier(core::DeviceTier::kFast))
-      : ep(core::make_sonet_endpoint(tier, {}, sonet::kSts3c)) {
+         TunnelConfig extra = {})
+      : ep(core::make_sonet_endpoint(core::DeviceTier::kFast, {}, sonet::kSts3c)) {
     TunnelConfig c = extra;
     c.listen = false;
     c.port = port;
@@ -574,37 +573,10 @@ TEST(ServerHello, MalformedFirstChunkIsProtoErrorAndClose) {
   srv.stop();
 }
 
-// ------------------------------------------------------------ reuseport
-
-TEST(ServerReuseport, AcceptsOnPerShardListeners) {
-  ServerConfig cfg;
-  cfg.shards = 2;
-  cfg.reuseport = true;
-  cfg.listeners = {{0, 11u}};
-  TunnelServer srv(cfg);
-  srv.enable_manual_time();
-  ASSERT_TRUE(srv.start());
-  ASSERT_NE(srv.port(), 0u);
-
-  std::vector<Fd> conns;
-  for (int i = 0; i < 8; ++i) conns.push_back(raw_connect(srv.port()));
-  for (int g = 0; g < 400; ++g) {
-    srv.step();
-    srv.advance_time(1);
-  }
-  EXPECT_EQ(srv.accepts(), 8u);
-  EXPECT_EQ(srv.sessions_active(), 8u);
-  EXPECT_EQ(srv.tenant_stats(11).sessions_admitted, 8u);
-  srv.stop();
-}
-
 // ----------------------------------------------------- churn (real time)
 
 TEST(ServerChurn, KillReconnectChurnLeavesExactLedgers) {
-  std::size_t target = 1000;
-  if (const char* env = std::getenv("P5_SERVER_CHURN")) {
-    target = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
-  }
+  const std::size_t target = testing::env_u64("P5_SERVER_CHURN").value_or(1000);
 
   ServerConfig cfg;
   cfg.shards = 4;

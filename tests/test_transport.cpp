@@ -12,13 +12,16 @@
 //    invariant frames_in == frames_out + frames_lost exact; UDP datagram
 //    loss (testing::FaultSpec::drop as the rx tap) costs resyncs, never
 //    corrupt deliveries; a linecard::Channel's fabric edge bridges across
-//    the socket; the backoff budget fails closed.
+//    the socket; the backoff budget fails closed; an oversize length prefix
+//    is a protocol error, not a wait for gigabytes.
 //
-// The tunnel tests run at both device tiers: the TunnelHarness default is a
-// P5_DEVICE_TIER selection point (the CI matrix forces the whole suite
-// through each tier), and the FastTier* tests pin DeviceTier::kFast so the
-// batch datapath is socket-tested even in a default run.
+// The tunnel tests run at both device tiers: the TcpDelivery/Udp pairs pin
+// DeviceTier::kCycle and DeviceTier::kFast in twin tests, and the
+// kill/reconnect, channel-bridge and drain tests run their body once per
+// tier.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -37,6 +40,8 @@
 
 namespace p5::transport {
 namespace {
+
+constexpr core::DeviceTier kBothTiers[] = {core::DeviceTier::kCycle, core::DeviceTier::kFast};
 
 /// Mixed traffic with flags/escapes sprinkled in, index stamped up front so
 /// any delivery identifies the datagram it came from.
@@ -278,19 +283,54 @@ TEST(TransportStream, WatermarkRefusesFramesAndLossIsExactOnClose) {
   EXPECT_GT(s.send_queue_hwm, 0u);
 }
 
+TEST(TransportStream, OversizeLengthPrefixIsProtoErrorAndClose) {
+  EventLoop loop;
+  TransportTelemetry tel;
+  Fd listen_fd = tcp_listen(SocketAddr{"127.0.0.1", 0});
+  ASSERT_TRUE(listen_fd.valid());
+  bool in_progress = false;
+  Fd raw = tcp_connect(SocketAddr{"127.0.0.1", local_port(listen_fd.get())}, in_progress);
+  ASSERT_TRUE(raw.valid());
+  pollfd pfd{raw.get(), POLLOUT, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+  Fd accepted;
+  for (int guard = 0; guard < 1000 && !accepted.valid(); ++guard) {
+    accepted = tcp_accept(listen_fd.get());
+    if (!accepted.valid()) ::usleep(1000);
+  }
+  ASSERT_TRUE(accepted.valid());
+
+  StreamConn conn(loop, tel, {}, std::move(accepted), /*connecting=*/false);
+  std::vector<Bytes> got;
+  bool closed = false;
+  conn.set_on_frames([&](std::span<const BytesView> burst) {
+    for (const BytesView& v : burst) got.emplace_back(v.begin(), v.end());
+  });
+  conn.set_on_closed([&] { closed = true; });
+
+  // One valid 3-octet chunk, then a prefix announcing 4 GiB.
+  const Bytes wire = {0x00, 0x00, 0x00, 0x03, 0x01, 0x02, 0x03, 0xFF, 0xFF, 0xFF, 0xFF};
+  ASSERT_EQ(::send(raw.get(), wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  for (int guard = 0; guard < 1000 && !closed; ++guard) loop.run_once(10);
+
+  EXPECT_TRUE(closed);
+  EXPECT_FALSE(conn.open());
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], (Bytes{0x01, 0x02, 0x03}));
+  const TransportSnapshot s = tel.snapshot();
+  EXPECT_EQ(s.frames_rcvd, 1u);
+  EXPECT_EQ(s.proto_errors, 1u);
+}
+
 // ------------------------------------------------------------------- Tunnel
 
 struct TunnelHarness {
   EventLoop loop;
-  /// Tier-generic endpoints: the harness default is a selection point for
-  /// the P5_DEVICE_TIER override (the CI matrix forces both tiers through
-  /// this whole suite); tests that pin a tier pass it explicitly.
   std::unique_ptr<core::SonetEndpoint> ep_a, ep_b;
   std::unique_ptr<Tunnel> tun_a, tun_b;  // a listens, b connects
 
-  explicit TunnelHarness(
-      bool udp, TunnelConfig extra = {},
-      core::DeviceTier tier = core::resolve_device_tier(core::DeviceTier::kCycle))
+  TunnelHarness(core::DeviceTier tier, bool udp, TunnelConfig extra = {})
       : ep_a(core::make_sonet_endpoint(tier, {}, sonet::kSts3c)),
         ep_b(core::make_sonet_endpoint(tier, {}, sonet::kSts3c)) {
     TunnelConfig ca = extra;
@@ -337,7 +377,7 @@ void tcp_echo_byte_exact(core::DeviceTier tier) {
   for (u32 i = 0; i < kDatagrams; ++i)
     payloads.push_back(stamped_payload(rng, i, rng.range(40, 400)));
 
-  TunnelHarness h(/*udp=*/false, {}, tier);
+  TunnelHarness h(tier, /*udp=*/false);
   for (const Bytes& p : payloads) ASSERT_TRUE(h.ep_b->submit_datagram(0x0021, p));
 
   std::vector<Bytes> delivered;
@@ -365,7 +405,7 @@ void tcp_echo_byte_exact(core::DeviceTier tier) {
 }
 
 TEST(TransportTunnel, TcpDeliveryByteExactVsDirectWiringZeroCrcErrors) {
-  tcp_echo_byte_exact(core::resolve_device_tier(core::DeviceTier::kCycle));
+  tcp_echo_byte_exact(core::DeviceTier::kCycle);
 }
 
 TEST(TransportTunnel, FastTierTcpDeliveryByteExactVsCycleDirectWiring) {
@@ -373,66 +413,70 @@ TEST(TransportTunnel, FastTierTcpDeliveryByteExactVsCycleDirectWiring) {
 }
 
 TEST(TransportTunnel, KillAndReconnectRunsBackoffAndKeepsLossInvariant) {
-  TunnelConfig extra;
-  extra.backoff_initial_ms = 1;
-  extra.backoff_max_ms = 8;
-  extra.seed = 21;
-  TunnelHarness h(/*udp=*/false, extra);
+  for (const core::DeviceTier tier : kBothTiers) {
+    SCOPED_TRACE(core::to_string(tier));
+    TunnelConfig extra;
+    extra.backoff_initial_ms = 1;
+    extra.backoff_max_ms = 8;
+    extra.seed = 21;
+    TunnelHarness h(tier, /*udp=*/false, extra);
 
-  Xoshiro256 rng(13);
-  std::vector<Bytes> payloads;
-  for (u32 i = 0; i < 30; ++i) payloads.push_back(stamped_payload(rng, i, rng.range(40, 300)));
+    Xoshiro256 rng(13);
+    std::vector<Bytes> payloads;
+    for (u32 i = 0; i < 30; ++i) payloads.push_back(stamped_payload(rng, i, rng.range(40, 300)));
 
-  std::map<u32, Bytes> delivered;
-  std::size_t submitted = 0;
-  bool killed = false;
-  int settle = 0;
-  for (int guard = 0; guard < 20000; ++guard) {
-    if (h.tun_b->established() && submitted < payloads.size()) {
-      if (h.ep_b->submit_datagram(0x0021, payloads[submitted])) ++submitted;
+    std::map<u32, Bytes> delivered;
+    std::size_t submitted = 0;
+    bool killed = false;
+    int settle = 0;
+    for (int guard = 0; guard < 20000; ++guard) {
+      if (h.tun_b->established() && submitted < payloads.size()) {
+        if (h.ep_b->submit_datagram(0x0021, payloads[submitted])) ++submitted;
+      }
+      h.pump();
+      // Sever mid-stream once traffic is moving, then let the ladder recover.
+      if (!killed && h.tun_a->stats().frames_rcvd > 2) {
+        h.tun_b->kill_connection();
+        killed = true;
+      }
+      while (auto d = h.ep_a->reap_datagram()) {
+        ASSERT_GE(d->payload.size(), 4u);
+        delivered[get_be32(d->payload, 0)] = d->payload;
+      }
+      // Everything submitted, reconnected, TX quiesced: give the tail a few
+      // hundred slices to flush, then stop.
+      if (submitted == payloads.size() && killed && h.tun_b->stats().reconnects >= 1 &&
+          h.tun_b->established() && !h.ep_b->tx_pending()) {
+        if (++settle > 300) break;
+      } else {
+        settle = 0;
+      }
     }
-    h.pump();
-    // Sever mid-stream once traffic is moving, then let the ladder recover.
-    if (!killed && h.tun_a->stats().frames_rcvd > 2) {
-      h.tun_b->kill_connection();
-      killed = true;
+    ASSERT_TRUE(killed);
+    EXPECT_GE(delivered.size(), 10u);  // the outage eats some, never most
+
+    const TransportSnapshot sb = h.tun_b->stats();
+    EXPECT_EQ(sb.connects, 1u);
+    EXPECT_GE(sb.reconnects, 1u);
+    EXPECT_GE(sb.backoff_waits, 1u);
+    EXPECT_GE(sb.disconnects, 1u);
+    // Exact chunk accounting across the outage: at quiescence every accepted
+    // chunk is either out or counted lost.
+    EXPECT_EQ(sb.frames_in, sb.frames_out + sb.frames_lost);
+    // Whatever made it through is byte-exact (CRC junked anything torn).
+    for (const auto& [idx, p] : delivered) {
+      ASSERT_LT(idx, payloads.size());
+      EXPECT_EQ(p, payloads[idx]);
     }
-    while (auto d = h.ep_a->reap_datagram()) {
-      ASSERT_GE(d->payload.size(), 4u);
-      delivered[get_be32(d->payload, 0)] = d->payload;
-    }
-    // Everything submitted, reconnected, TX quiesced: give the tail a few
-    // hundred slices to flush, then stop.
-    if (submitted == payloads.size() && killed && h.tun_b->stats().reconnects >= 1 &&
-        h.tun_b->established() && !h.ep_b->tx_pending()) {
-      if (++settle > 300) break;
-    } else {
-      settle = 0;
-    }
+    EXPECT_TRUE(h.tun_b->established());
+
   }
-  ASSERT_TRUE(killed);
-  EXPECT_GE(delivered.size(), 10u);  // the outage eats some, never most
-
-  const TransportSnapshot sb = h.tun_b->stats();
-  EXPECT_EQ(sb.connects, 1u);
-  EXPECT_GE(sb.reconnects, 1u);
-  EXPECT_GE(sb.backoff_waits, 1u);
-  EXPECT_GE(sb.disconnects, 1u);
-  // Exact chunk accounting across the outage: at quiescence every accepted
-  // chunk is either out or counted lost.
-  EXPECT_EQ(sb.frames_in, sb.frames_out + sb.frames_lost);
-  // Whatever made it through is byte-exact (CRC junked anything torn).
-  for (const auto& [idx, p] : delivered) {
-    ASSERT_LT(idx, payloads.size());
-    EXPECT_EQ(p, payloads[idx]);
-  }
-  EXPECT_TRUE(h.tun_b->established());
 }
 
 /// UDP with a 40% chunk-drop tap at a given device tier: losses cost
 /// resyncs and junked frames, never corrupt deliveries.
 void udp_tolerates_datagram_loss(core::DeviceTier tier) {
-  TunnelHarness h(/*udp=*/true, {}, tier);
+  TunnelHarness h(tier, /*udp=*/true);
   // 40% chunk loss over ~20 data-carrying chunks: some datagrams certainly
   // die, some certainly survive (deterministic tap stream, seed 31).
   testing::FaultyLine drops(testing::FaultSpec::drop(0.4, 31));
@@ -485,7 +529,7 @@ void udp_tolerates_datagram_loss(core::DeviceTier tier) {
 }
 
 TEST(TransportTunnel, UdpToleratesInjectedDatagramLoss) {
-  udp_tolerates_datagram_loss(core::resolve_device_tier(core::DeviceTier::kCycle));
+  udp_tolerates_datagram_loss(core::DeviceTier::kCycle);
 }
 
 TEST(TransportTunnel, FastTierUdpToleratesFortyPercentDatagramLoss) {
@@ -493,63 +537,72 @@ TEST(TransportTunnel, FastTierUdpToleratesFortyPercentDatagramLoss) {
 }
 
 TEST(TransportTunnel, ChannelBindingBridgesFabricAcrossTheSocket) {
-  EventLoop loop;
-  linecard::ChannelTelemetry tel_a, tel_b;
-  linecard::ChannelConfig cc;
-  linecard::Channel ch_a(0, cc, tel_a), ch_b(1, cc, tel_b);
+  for (const core::DeviceTier tier : kBothTiers) {
+    SCOPED_TRACE(core::to_string(tier));
+    EventLoop loop;
+    linecard::ChannelTelemetry tel_a, tel_b;
+    linecard::ChannelConfig cc;
+    cc.tier = tier;
+    linecard::Channel ch_a(0, cc, tel_a), ch_b(1, cc, tel_b);
 
-  TunnelConfig ca;
-  ca.listen = true;
-  ca.port = 0;
-  Tunnel tun_a(loop, TunnelBinding::channel(ch_a), ca);
-  tun_a.start();
+    TunnelConfig ca;
+    ca.listen = true;
+    ca.port = 0;
+    Tunnel tun_a(loop, TunnelBinding::channel(ch_a), ca);
+    tun_a.start();
 
-  // B side: deliveries out of ch_b's link are consumed by the test itself,
-  // so the tunnel only feeds the fabric ring (one-way bridge).
-  TunnelBinding b_bind = TunnelBinding::channel(ch_b);
-  b_bind.pull = nullptr;
-  b_bind.ready = nullptr;
-  TunnelConfig cb;
-  cb.port = tun_a.bound_port();
-  Tunnel tun_b(loop, std::move(b_bind), cb);
-  tun_b.start();
+    // B side: deliveries out of ch_b's link are consumed by the test itself,
+    // so the tunnel only feeds the fabric ring (one-way bridge).
+    TunnelBinding b_bind = TunnelBinding::channel(ch_b);
+    b_bind.pull = nullptr;
+    b_bind.ready = nullptr;
+    TunnelConfig cb;
+    cb.port = tun_a.bound_port();
+    Tunnel tun_b(loop, std::move(b_bind), cb);
+    tun_b.start();
 
-  Xoshiro256 rng(19);
-  std::vector<Bytes> payloads;
-  for (u32 i = 0; i < 12; ++i) payloads.push_back(stamped_payload(rng, i, rng.range(40, 200)));
-  for (const Bytes& p : payloads) {
-    linecard::FrameDesc d;
-    d.fabric_dest = 0x41;
-    d.payload = p;
-    ASSERT_TRUE(ch_a.source_ring().try_push(std::move(d)));
+    Xoshiro256 rng(19);
+    std::vector<Bytes> payloads;
+    for (u32 i = 0; i < 12; ++i) payloads.push_back(stamped_payload(rng, i, rng.range(40, 200)));
+    for (const Bytes& p : payloads) {
+      linecard::FrameDesc d;
+      d.fabric_dest = 0x41;
+      d.payload = p;
+      ASSERT_TRUE(ch_a.source_ring().try_push(std::move(d)));
+    }
+
+    std::vector<linecard::FrameDesc> arrived;
+    for (int guard = 0; guard < 60000 && arrived.size() < payloads.size(); ++guard) {
+      tun_a.pump();
+      tun_b.pump();
+      loop.run_once(1);
+      while (auto d = ch_b.egress_ring().try_pop()) arrived.push_back(std::move(*d));
+    }
+    ASSERT_EQ(arrived.size(), payloads.size());
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      EXPECT_EQ(arrived[i].payload, payloads[i]);
+      EXPECT_EQ(arrived[i].source_channel, 1);  // re-stamped by ch_b's ingress
+    }
+    EXPECT_EQ(tun_a.stats().frames_out, payloads.size());
+    EXPECT_EQ(tun_b.stats().rx_drops, 0u);
+
   }
-
-  std::vector<linecard::FrameDesc> arrived;
-  for (int guard = 0; guard < 60000 && arrived.size() < payloads.size(); ++guard) {
-    tun_a.pump();
-    tun_b.pump();
-    loop.run_once(1);
-    while (auto d = ch_b.egress_ring().try_pop()) arrived.push_back(std::move(*d));
-  }
-  ASSERT_EQ(arrived.size(), payloads.size());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(arrived[i].payload, payloads[i]);
-    EXPECT_EQ(arrived[i].source_channel, 1);  // re-stamped by ch_b's ingress
-  }
-  EXPECT_EQ(tun_a.stats().frames_out, payloads.size());
-  EXPECT_EQ(tun_b.stats().rx_drops, 0u);
 }
 
 TEST(TransportTunnel, DrainFlushesThenCloses) {
-  TunnelHarness h(/*udp=*/false);
-  for (int guard = 0; guard < 2000 && !h.tun_b->established(); ++guard) h.pump();
-  ASSERT_TRUE(h.tun_b->established());
-  h.tun_b->request_drain();
-  for (int guard = 0; guard < 2000 && !h.tun_b->finished(); ++guard) h.pump();
-  EXPECT_EQ(h.tun_b->state(), TunnelState::kClosed);
-  const TransportSnapshot sb = h.tun_b->stats();
-  EXPECT_EQ(sb.frames_in, sb.frames_out + sb.frames_lost);
-  EXPECT_EQ(sb.frames_lost, 0u);
+  for (const core::DeviceTier tier : kBothTiers) {
+    SCOPED_TRACE(core::to_string(tier));
+    TunnelHarness h(tier, /*udp=*/false);
+    for (int guard = 0; guard < 2000 && !h.tun_b->established(); ++guard) h.pump();
+    ASSERT_TRUE(h.tun_b->established());
+    h.tun_b->request_drain();
+    for (int guard = 0; guard < 2000 && !h.tun_b->finished(); ++guard) h.pump();
+    EXPECT_EQ(h.tun_b->state(), TunnelState::kClosed);
+    const TransportSnapshot sb = h.tun_b->stats();
+    EXPECT_EQ(sb.frames_in, sb.frames_out + sb.frames_lost);
+    EXPECT_EQ(sb.frames_lost, 0u);
+
+  }
 }
 
 TEST(TransportTunnel, BackoffBudgetFailsClosed) {
