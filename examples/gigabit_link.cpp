@@ -89,10 +89,11 @@ int main(int argc, char** argv) {
               ls.octets ? static_cast<double>(ls.bit_errors) / (8.0 * ls.octets) : 0.0);
 
   const auto& ds = link.a_to_b_stats();
-  std::printf("SONET B (rx): %llu frames in sync, %llu resyncs, B1 errs %llu, B3 errs %llu\n",
+  std::printf("SONET B (rx): %llu frames in sync, %llu resyncs, B1/B2/B3 errs %llu/%llu/%llu\n",
               static_cast<unsigned long long>(ds.frames_in_sync),
               static_cast<unsigned long long>(ds.resyncs),
               static_cast<unsigned long long>(ds.b1_errors),
+              static_cast<unsigned long long>(ds.b2_errors),
               static_cast<unsigned long long>(ds.b3_errors));
 
   auto report_p5 = [](const char* name, core::P5& dev) {

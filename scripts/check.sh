@@ -23,6 +23,10 @@
 #             + bench_compare.py regression gates: --quick bench_softpath,
 #             bench_tunnel, bench_server and bench_session sweeps diffed
 #             against the committed BENCH_*.json
+#   perfbench the repository's benchmark (perfbench/, .bench_build/perfbench):
+#             Release build of perfbench + perfbench_tests, the unit tests,
+#             then a 1 s traced run of each workload through perfbench/run.py
+#             (exit 0 = every delivery and ledger checked out; no timing gate)
 #
 # Usage: scripts/check.sh [stage...]   (default: all stages in order)
 #   e.g. scripts/check.sh tier-1 fault     # skip the sanitizer rebuilds
@@ -32,7 +36,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 STAGES=("$@")
-[ ${#STAGES[@]} -eq 0 ] && STAGES=(tier-1 fault transport server session capture tier asan tsan bench)
+[ ${#STAGES[@]} -eq 0 ] && STAGES=(tier-1 fault transport server session capture tier asan tsan bench perfbench)
 
 want() {
   local s
@@ -178,6 +182,20 @@ if want bench; then
   ./build/bench/bench_session --quick --out build/BENCH_session.fresh.json > /dev/null
   python3 scripts/bench_compare.py build/BENCH_session.fresh.json BENCH_session.json \
     --metric new_mb_s
+fi
+
+if want perfbench; then
+  echo
+  echo "== perfbench: Release build, unit tests, 1 s traced smoke per workload =="
+  # Nothing else builds perfbench/, yet it drives the endpoint, framer and
+  # tunnel APIs. run.py reuses this build tree (incremental, no rebuild).
+  cmake -S perfbench -B .bench_build/perfbench -DCMAKE_BUILD_TYPE=Release
+  cmake --build .bench_build/perfbench --target perfbench perfbench_tests -j
+  ./.bench_build/perfbench/perfbench_tests
+  for w in pair_bulk pair_imix_paced server_sink; do
+    echo "-- $w"
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 1 > /dev/null
+  done
 fi
 
 echo

@@ -78,8 +78,10 @@ class SonetEndpoint {
   virtual void drain_rx() {}
 
   // ---- introspection (the tier-equivalence surface) ----
-  /// TX gate for paced pullers: true while datagrams are queued or a frame
-  /// is mid-transmission. Pullers should linger ~2 frames after it clears.
+  /// TX gate for paced pullers: true while datagrams are queued or any
+  /// octet of a started PPP frame, up to its closing flag, has not yet left
+  /// pull_frame(). Once false, the frames already pulled carry everything
+  /// the far end needs to deliver every submitted datagram.
   [[nodiscard]] virtual bool tx_pending() const = 0;
   /// Datagrams admitted but not yet fetched by the transmitter.
   [[nodiscard]] virtual std::size_t tx_queue_depth() const = 0;

@@ -52,15 +52,15 @@ FastP5Endpoint::FastP5Endpoint(const P5Config& cfg, sonet::StsSpec sts)
     : cfg_(cfg),
       sts_(sts),
       tx_fcfg_(tx_frame_config(cfg)),
+      framer_(sts),
       idle_fill_(sts.payload_bytes_per_frame(), hdlc::kFlag),
+      tx_spe_(sts.payload_bytes_per_frame()),
       delineator_([this](BytesView stuffed) { on_stuffed_frame(stuffed); },
                   /*min_frame=*/4, kMaxDelineatedFrame),
       rx_engine_(hdlc::Accm::sonet()) {
   // Prime the TX escape engine (ACCM table derivation) at construction, the
   // same config-change-time hoist the cycle device's OAM write performs.
   (void)tx_arena_.escape_engine(cfg.accm);
-  framer_ = std::make_unique<sonet::SonetFramer>(
-      sts, [this](std::size_t n) { return tx_take(n); });
   deframer_ = std::make_unique<sonet::SonetDeframer>(sts, [this](BytesView payload) {
     // Fused copy+descramble: one vectorized pass from the SPE payload into
     // the scratch buffer (the x^43+1 keystream is the received stream, so
@@ -77,11 +77,27 @@ bool FastP5Endpoint::submit_datagram(u16 protocol, Bytes payload) {
   return memory_.post_tx(std::move(req));
 }
 
-Bytes FastP5Endpoint::pull_frame() { return framer_->next_frame(); }
+Bytes FastP5Endpoint::pull_frame() {
+  // The SPE payload: the continuous PPP stream (encoded frames back to back,
+  // flag fill when idle) through the x^43+1 scrambler, straight out of the
+  // encode arena. Its delay line stays continuous across wire pieces and
+  // frames, exactly as on the cycle endpoint's line.
+  const std::size_t n = tx_spe_.size();
+  for (std::size_t filled = 0; filled < n;) {
+    if (tx_head_ >= tx_wire_.size()) tx_refill();
+    const std::size_t take = std::min(n - filled, tx_wire_.size() - tx_head_);
+    scr_tx_.scramble_into(tx_spe_.data() + filled, tx_wire_.subspan(tx_head_, take));
+    tx_head_ += take;
+    filled += take;
+  }
+  Bytes frame(sts_.frame_bytes());
+  framer_.frame_into(frame.data(), tx_spe_);
+  return frame;
+}
 
 void FastP5Endpoint::push_line(BytesView octets) { deframer_->push(octets); }
 
-u64 FastP5Endpoint::frames_pulled() const { return framer_->frames_built(); }
+u64 FastP5Endpoint::frames_pulled() const { return framer_.frames_built(); }
 
 bool FastP5Endpoint::rx_in_sync() const { return deframer_->in_sync(); }
 
@@ -95,21 +111,6 @@ RxCounters FastP5Endpoint::rx_counters() const {
   const hdlc::DelineatorStats& d = delineator_.stats();
   c.frames_bad = d.aborts + d.runts + d.oversize + rx_crc_bad_;
   return c;
-}
-
-Bytes FastP5Endpoint::tx_take(std::size_t n) {
-  Bytes out;
-  out.reserve(n);
-  while (out.size() < n) {
-    if (tx_head_ >= tx_wire_.size()) tx_refill();
-    const std::size_t take = std::min(n - out.size(), tx_wire_.size() - tx_head_);
-    // Fused copy+scramble straight out of the encode arena — the x^43+1
-    // delay line stays continuous across frames and across wire pieces,
-    // exactly as on the cycle endpoint's line.
-    scr_tx_.scramble_append(out, BytesView(tx_wire_.data() + tx_head_, take));
-    tx_head_ += take;
-  }
-  return out;
 }
 
 void FastP5Endpoint::tx_refill() {

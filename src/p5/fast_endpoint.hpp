@@ -5,10 +5,12 @@
 //
 //   TX: SharedMemory ring -> hdlc::encode_batch_into (FCS — carry-less
 //       multiply or slicing-by-16 — + SIMD escape engine, one worst-case
-//       reservation per batch)
-//       -> inter-frame flag fill -> x^43+1 self-sync payload scrambler
-//       -> sonet::SonetFramer (pointer generation, B1/B2/B3, table-driven
-//       frame-synchronous scrambler)
+//       reservation per batch; each frame's closing flag included)
+//       -> inter-frame flag fill -> x^43+1 self-sync payload scrambler word
+//       loop from the encode arena into one reused SPE buffer
+//       -> sonet::SonetFramer::frame_into (one pass: overhead from the
+//       per-level scrambled image, payload xor keystream, B1/B2/B3 from the
+//       payload's row parities)
 //   RX: sonet::SonetDeframer (alignment recovery, pointer interpretation,
 //       BIP checks; a whole frame in one chunk is deframed in place) ->
 //       self-sync descrambler -> hdlc::Delineator (bulk flag scan; frames
@@ -65,6 +67,8 @@ class FastP5Endpoint final : public SonetEndpoint {
   [[nodiscard]] Bytes pull_frame() override;
   void push_line(BytesView octets) override;
 
+  /// Exact: the encoder writes each frame's closing flag into tx_wire_, so
+  /// once the queue is empty and the wire consumed, the last frame is out.
   [[nodiscard]] bool tx_pending() const override {
     return memory_.tx_pending() > 0 || (tx_wire_is_data_ && tx_head_ < tx_wire_.size());
   }
@@ -86,9 +90,6 @@ class FastP5Endpoint final : public SonetEndpoint {
   }
 
  private:
-  /// Return exactly n octets of the continuous PPP TX stream (encoded
-  /// frames back to back, flag fill when idle), scrambled x^43+1.
-  Bytes tx_take(std::size_t n);
   /// Re-point tx_wire_ at fresh stream content: a batch encode of every
   /// queued datagram, or flag fill when the queue is idle.
   void tx_refill();
@@ -103,12 +104,13 @@ class FastP5Endpoint final : public SonetEndpoint {
   std::function<void(RxDelivery)> sink_;
 
   // --- TX ---
-  std::unique_ptr<sonet::SonetFramer> framer_;
+  sonet::SonetFramer framer_;
   sonet::SelfSyncScrambler43 scr_tx_;
   hdlc::FrameArena tx_arena_;
   std::vector<TxRequest> batch_reqs_;       ///< payload storage for the batch views
   std::vector<hdlc::BatchFrame> batch_;
   Bytes idle_fill_;                         ///< one SPE of flag fill
+  Bytes tx_spe_;                            ///< the next frame's scrambled SPE payload
   BytesView tx_wire_;                       ///< current stream source (arena or fill)
   bool tx_wire_is_data_ = false;            ///< tx_wire_ holds frames, not idle fill
   std::size_t tx_head_ = 0;                 ///< consumed prefix of tx_wire_

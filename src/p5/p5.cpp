@@ -1,5 +1,8 @@
 #include "p5/p5.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "common/check.hpp"
 
 namespace p5::core {
@@ -7,6 +10,10 @@ namespace p5::core {
 namespace {
 constexpr std::size_t kStageDepth = 1;  ///< registered pipeline stage
 constexpr std::size_t kLineDepth = 4;   ///< small PHY elastic buffer
+/// Cycles without a word on any receive channel after which drain_rx calls
+/// the receiver quiescent. A word may sit inside one stage with no channel
+/// activity for 2 cycles (Escape Detect's S1 -> S2 -> queue); 8 is margin.
+constexpr u64 kRxQuietCycles = 8;
 }  // namespace
 
 P5::P5(const P5Config& cfg) : cfg_(cfg), oam_(cfg) {
@@ -152,26 +159,56 @@ Bytes P5::phy_pull_tx(std::size_t n) {
       P5_ASSERT(++guard < 1000000);
     }
   }
+  for (const u8 b : out) {
+    if (b != hdlc::kFlag) {
+      tx_in_frame_ = true;
+    } else if (tx_in_frame_) {
+      ++tx_frames_closed_;
+      tx_in_frame_ = false;
+    }
+  }
   return out;
 }
 
 void P5::phy_push_rx(BytesView octets) {
   for (const u8 b : octets) {
     rx_spill_.push_back(b);
-    if (rx_spill_.size() == cfg_.lanes) {
-      // Wait for channel space (line-rate pacing), then deliver the word.
-      u64 guard = 0;
-      while (!rx_line_->can_push()) {
-        step();
-        P5_ASSERT(++guard < 1000000);
-      }
-      rx_line_->push(rtl::Word::of(rx_spill_));
-      rx_spill_.clear();
-      step();
-    }
+    if (rx_spill_.size() == cfg_.lanes) push_rx_word();
   }
 }
 
-void P5::drain_rx(u64 max_cycles) { step(max_cycles); }
+void P5::push_rx_word() {
+  // Wait for channel space (line-rate pacing), then deliver the word.
+  u64 guard = 0;
+  while (!rx_line_->can_push()) {
+    step();
+    P5_ASSERT(++guard < 1000000);
+  }
+  rx_line_->push(rtl::Word::of(rx_spill_));
+  rx_spill_.clear();
+  step();
+}
+
+void P5::drain_rx(u64 max_cycles) {
+  // The line has gone quiet: a partial word goes in as it is. Then run until
+  // kRxQuietCycles cycles in a row began with every receive channel empty
+  // and pushed nothing into one: what the stages still hold waits for more
+  // line octets.
+  if (!rx_spill_.empty()) push_rx_word();
+  const std::array<const rtl::Fifo<rtl::Word>*, 4> rx = {rx_line_.get(), rx_flag2esc_.get(),
+                                                          rx_esc2crc_.get(), rx_crc2c_.get()};
+  const auto pushed = [&rx] {
+    u64 n = 0;
+    for (const auto* f : rx) n += f->total_pushed();
+    return n;
+  };
+  u64 quiet = 0;
+  for (u64 i = 0; i < max_cycles && quiet < kRxQuietCycles; ++i) {
+    const bool empty = std::all_of(rx.begin(), rx.end(), [](const auto* f) { return f->empty(); });
+    const u64 before = pushed();
+    step();
+    quiet = empty && pushed() == before ? quiet + 1 : 0;
+  }
+}
 
 }  // namespace p5::core

@@ -54,14 +54,20 @@ class P5 {
   void attach_trace(rtl::VcdWriter* vcd);
 
   // ---- PHY-side API ----
-  /// Pull exactly n transmit octets, advancing the clock as needed (the
-  /// SONET framer's payload_source contract). The line never starves: idle
-  /// cycles produce flag fill.
+  /// Pull exactly n transmit octets, advancing the clock as needed (one SPE
+  /// payload per SONET frame). The line never starves: idle cycles produce
+  /// flag fill.
   [[nodiscard]] Bytes phy_pull_tx(std::size_t n);
+  /// Frames whose closing flag phy_pull_tx has handed out. Transparency
+  /// keeps 0x7E out of frame content, so a closing flag is exactly a flag
+  /// octet that follows a non-flag one on the line.
+  [[nodiscard]] u64 tx_frames_closed() const { return tx_frames_closed_; }
   /// Push received octets toward the receiver, advancing the clock so the
   /// pipeline keeps pace with the line (lanes octets per cycle).
   void phy_push_rx(BytesView octets);
-  /// Drain the receive pipeline (run until quiescent, bounded).
+  /// Drain the receive pipeline: push any partial word of received octets,
+  /// then run until no stage can move a word without more line octets, at
+  /// most max_cycles.
   void drain_rx(u64 max_cycles = 10000);
 
   // ---- introspection for the experiments ----
@@ -95,8 +101,13 @@ class P5 {
   std::unique_ptr<RxCrcChecker> rx_crc_;
   std::unique_ptr<RxControl> rx_control_;
 
+  /// Push rx_spill_ to the line channel as one word.
+  void push_rx_word();
+
   Bytes rx_spill_;  ///< partial word being assembled from pushed octets
   Bytes tx_spill_;  ///< octets popped from the line but not yet pulled
+  u64 tx_frames_closed_ = 0;
+  bool tx_in_frame_ = false;  ///< the last octet pulled was frame content
   rtl::VcdWriter* vcd_ = nullptr;
 };
 

@@ -5,12 +5,7 @@
 namespace p5::core {
 
 P5SonetEndpoint::P5SonetEndpoint(const P5Config& cfg, sonet::StsSpec sts)
-    : sts_(sts), dev_(std::make_unique<P5>(cfg)) {
-  framer_ = std::make_unique<sonet::SonetFramer>(sts, [this](std::size_t n) {
-    Bytes chunk = dev_->phy_pull_tx(n);
-    scr_tx_.scramble_in_place(chunk);
-    return chunk;
-  });
+    : sts_(sts), dev_(std::make_unique<P5>(cfg)), framer_(sts) {
   deframer_ = std::make_unique<sonet::SonetDeframer>(sts, [this](BytesView payload) {
     rx_scratch_.assign(payload.begin(), payload.end());
     scr_rx_.descramble_in_place(rx_scratch_);
@@ -18,11 +13,20 @@ P5SonetEndpoint::P5SonetEndpoint(const P5Config& cfg, sonet::StsSpec sts)
   });
 }
 
-Bytes P5SonetEndpoint::pull_frame() { return framer_->next_frame(); }
+Bytes P5SonetEndpoint::pull_frame() {
+  Bytes spe = dev_->phy_pull_tx(sts_.payload_bytes_per_frame());
+  scr_tx_.scramble_in_place(spe);
+  Bytes frame(sts_.frame_bytes());
+  framer_.frame_into(frame.data(), spe);
+  return frame;
+}
 
 void P5SonetEndpoint::push_line(BytesView octets) { deframer_->push(octets); }
 
-bool P5SonetEndpoint::tx_pending() const { return dev_->tx_control().pending() > 0; }
+bool P5SonetEndpoint::tx_pending() const {
+  return dev_->tx_control().pending() > 0 ||
+         dev_->tx_frames_closed() < dev_->tx_control().frames_started();
+}
 
 P5SonetLink::P5SonetLink(const P5Config& cfg, sonet::StsSpec sts,
                          const sonet::LineConfig& line_cfg, DeviceTier tier)

@@ -73,15 +73,15 @@ class P5SonetEndpoint final : public SonetEndpoint {
   void drain_rx() override { dev_->drain_rx(); }
 
   /// TX gate for paced pullers: true while datagrams are queued in shared
-  /// memory or a frame is mid-transmission. After it goes false the
-  /// pipeline still holds a handful of trailing octets (FCS, closing flag),
-  /// so pullers should linger for roughly one more SONET frame.
+  /// memory or any started frame's closing flag has not yet left
+  /// phy_pull_tx — octets still inside the CRC, escape and flag stages or
+  /// the PHY spill count as pending.
   [[nodiscard]] bool tx_pending() const override;
 
   [[nodiscard]] std::size_t tx_queue_depth() const override {
     return dev_->memory().tx_pending();
   }
-  [[nodiscard]] u64 frames_pulled() const override { return framer_->frames_built(); }
+  [[nodiscard]] u64 frames_pulled() const override { return framer_.frames_built(); }
   [[nodiscard]] bool rx_in_sync() const override { return deframer_->in_sync(); }
   [[nodiscard]] const sonet::DeframerStats& rx_stats() const override {
     return deframer_->stats();
@@ -102,7 +102,7 @@ class P5SonetEndpoint final : public SonetEndpoint {
   // a scratch buffer whose capacity stabilises after the first SONET frame.
   sonet::SelfSyncScrambler43 scr_tx_, scr_rx_;
   Bytes rx_scratch_;
-  std::unique_ptr<sonet::SonetFramer> framer_;
+  sonet::SonetFramer framer_;
   std::unique_ptr<sonet::SonetDeframer> deframer_;
 };
 

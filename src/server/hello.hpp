@@ -6,11 +6,9 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <optional>
 
 #include "common/types.hpp"
-#include "transport/tunnel.hpp"
 
 namespace p5::server {
 
@@ -31,27 +29,6 @@ inline constexpr std::size_t kHelloBytes = 8;
     if (chunk[i] != kHelloMagic[i]) return std::nullopt;
   }
   return get_be32(chunk, 4);
-}
-
-/// Client-side wrapper: emit the hello as the very first chunk, then defer
-/// to the inner binding. For single-connection clients (fresh Tunnel per
-/// connect) — the hello is not re-sent across a Tunnel's own reconnects, so
-/// reconnecting fleets should use port-based tenancy instead.
-[[nodiscard]] inline transport::TunnelBinding with_hello(transport::TunnelBinding inner,
-                                                         u32 tenant_id) {
-  auto sent = std::make_shared<bool>(false);
-  transport::TunnelBinding b = inner;
-  b.pull = [inner, sent, tenant_id]() -> Bytes {
-    if (!*sent) {
-      *sent = true;
-      return hello_chunk(tenant_id);
-    }
-    return inner.pull ? inner.pull() : Bytes{};
-  };
-  b.ready = [inner, sent] {
-    return !*sent || (inner.ready && inner.ready());
-  };
-  return b;
 }
 
 }  // namespace p5::server

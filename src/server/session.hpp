@@ -15,8 +15,9 @@
 // the excess there; the session books that loss against the tenant after
 // the reap (TenantSnapshot::dgrams_ring_dropped).
 // TX path per slice: frames come from TunnelBinding::endpoint's paced pull
-// (tx_pending()-gated, with its 2-frame linger), the same binding a Tunnel
-// drives, into the conn until its watermark pushes back.
+// (gated by the endpoint's exact tx_pending(), so no frame of pure flag fill
+// is sent), the same binding a Tunnel drives, into the conn until its
+// watermark pushes back.
 //
 // A Session never destroys its conn from the conn's own callback stack:
 // on_closed only marks dead_, and the shard sweeps dead sessions after its

@@ -57,23 +57,20 @@ void FrameScrambler::apply(Bytes& data, std::size_t begin, std::size_t end) {
   if (begin >= stop) return;
   const auto& k = frame_keystream();
   const std::size_t pos = k.idx_of[state_];
-  apply_at(pos, data.data() + begin, data.data() + begin, stop - begin);
-  state_ = k.state_of[(pos + stop - begin) % 127];
-}
-
-void FrameScrambler::apply_at(std::size_t pos, u8* out, const u8* in, std::size_t n) {
-  const auto& k = frame_keystream();
-  std::size_t idx = pos % 127;
+  u8* d = data.data() + begin;
+  const std::size_t n = stop - begin;
+  std::size_t idx = pos;
   // The replicated table is valid for kRun octets from any in-period offset,
   // so each iteration XORs a multi-period contiguous run instead of stopping
   // at the period boundary — one vectorized sweep per ~1 KiB.
   for (std::size_t i = 0; i < n;) {
     const std::size_t run = std::min<std::size_t>(FrameKeystream::kRun, n - i);
     const u8* __restrict__ s = k.ext.data() + idx;
-    for (std::size_t j = 0; j < run; ++j) out[i + j] = static_cast<u8>(in[i + j] ^ s[j]);
+    for (std::size_t j = 0; j < run; ++j) d[i + j] = static_cast<u8>(d[i + j] ^ s[j]);
     i += run;
     idx = (idx + run) % 127;
   }
+  state_ = k.state_of[(pos + n) % 127];
 }
 
 Bytes SelfSyncScrambler43::scramble(BytesView data) {
@@ -132,33 +129,20 @@ inline u64 scramble43_words(u8* d, const u8* s, std::size_t words, u64 w_prev) {
 
 }  // namespace
 
-void SelfSyncScrambler43::scramble_in_place(Bytes& data) {
-  const std::size_t n = data.size();
-  if (n < 8) {
-    for (u8& b : data) b = scramble(b);
-    return;
-  }
-  u8* d = data.data();
+void SelfSyncScrambler43::scramble_into(u8* out, BytesView in) {
+  // Words stream straight from `in` through the word loop into `out` (no
+  // zero-fill, no second pass); the sub-word tail steps octet by octet.
+  const std::size_t n = in.size();
+  const u8* s = in.data();
   const std::size_t words = n / 8;
-  history_ = scramble43_words(d, d, words, history_) & kMask;
-  for (std::size_t i = words * 8; i < n; ++i) d[i] = scramble(d[i]);
+  history_ = scramble43_words(out, s, words, history_) & kMask;
+  for (std::size_t i = words * 8; i < n; ++i) out[i] = scramble(s[i]);
 }
 
 void SelfSyncScrambler43::scramble_append(Bytes& out, BytesView in) {
-  const std::size_t n = in.size();
   const std::size_t base = out.size();
-  // Fused copy+scramble: words stream straight from `in` through the word
-  // loop into the appended region (no zero-fill, no second pass).
-  out.resize(base + n);
-  u8* d = out.data() + base;
-  const u8* s = in.data();
-  if (n < 8) {
-    for (std::size_t i = 0; i < n; ++i) d[i] = scramble(s[i]);
-    return;
-  }
-  const std::size_t words = n / 8;
-  history_ = scramble43_words(d, s, words, history_) & kMask;
-  for (std::size_t i = words * 8; i < n; ++i) d[i] = scramble(s[i]);
+  out.resize(base + in.size());
+  scramble_into(out.data() + base, in);
 }
 
 void SelfSyncScrambler43::descramble_to(Bytes& out, BytesView in) {

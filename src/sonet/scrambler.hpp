@@ -38,11 +38,6 @@ class FrameScrambler {
   /// XOR a buffer in place with keystream.
   void apply(Bytes& data, std::size_t begin, std::size_t end);
 
-  /// out[i] = in[i] ^ keystream[pos + i] for n octets, where keystream[0] is
-  /// the first octet after reset() — stateless, so a frame's scattered runs
-  /// can be descrambled by their frame positions. `out` may equal `in`.
-  static void apply_at(std::size_t pos, u8* out, const u8* in, std::size_t n);
-
  private:
   u8 state_ = 0x7F;  ///< 7-bit LFSR state
 };
@@ -76,12 +71,16 @@ class SelfSyncScrambler43 {
   [[nodiscard]] Bytes scramble(BytesView data);
   [[nodiscard]] Bytes descramble(BytesView data);
 
+  /// Fused copy+scramble: out[0, in.size()) = scramble(in), one pass where a
+  /// copy-then-scramble-in-place pair would take two. `out` may equal
+  /// in.data().
+  void scramble_into(u8* out, BytesView in);
+
   /// Zero-allocation variants for hot paths (p5::core::P5SonetLink).
-  void scramble_in_place(Bytes& data);
+  void scramble_in_place(Bytes& data) { scramble_into(data.data(), data); }
   void descramble_in_place(Bytes& data);
 
-  /// Fused copy+scramble: append scramble(in) to `out`. One pass where a
-  /// copy-then-scramble-in-place pair would take two.
+  /// scramble_into() the end of `out`, grown by in.size().
   void scramble_append(Bytes& out, BytesView in);
   /// Fused copy+descramble: replace `out` with descramble(in). The keystream
   /// for descrambling is the *received* stream itself, so the bulk loop has

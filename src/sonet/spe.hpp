@@ -12,10 +12,19 @@
 //    and no justification events occur (the paper's P5 sits behind a PHY that
 //    presents an already-aligned octet stream);
 //   * overhead actually computed: A1/A2 framing, J0 section trace, B1
-//     (section BIP-8, over the previous scrambled frame), B2 (line BIP-8xN),
-//     B3 (path BIP-8 over the previous SPE), C2 path signal label
-//     (0x16 = PPP with x^43+1 scrambling), G1 REI feedback;
+//     (section BIP-8 over the previous scrambled frame), B2 (one line BIP-8
+//     over rows 3..8 of this frame before scrambling), B3 (path BIP-8 over
+//     the previous SPE), C2 path signal label (0x16 = PPP with x^43+1
+//     scrambling), J1 filler;
 //   * remaining overhead bytes transmit as zero.
+//
+// The frame-synchronous scrambler restarts every frame, so everything but
+// the payload and B1/B2/B3 is the same scrambled image in every frame, and
+// each parity is a fold of the payload's row parities plus constants of that
+// image. Both directions therefore touch each payload octet once: the framer
+// writes payload xor keystream while folding its parity, the deframer reads
+// it back the same way. The image and its parity constants are built once
+// per STS level and shared by every framer and deframer of that level.
 //
 // Rates: STS-N line rate is N x 51.84 Mbps; STS-48c carries the paper's
 // 2.488 Gbps ("2.5 Gbps") and STS-12c the 622 Mbps ("625 Mbps") service.
@@ -59,14 +68,27 @@ inline constexpr StsSpec kSts3c{3};
 inline constexpr StsSpec kSts12c{12};
 inline constexpr StsSpec kSts48c{48};
 
+/// Per-STS-level frame image and parity constants (spe.cpp).
+struct FrameTables;
+
 /// Builds successive STS-Nc frames around a PPP octet stream.
 class SonetFramer {
  public:
+  explicit SonetFramer(StsSpec spec);
+  /// Adapter for callers that supply the payload per frame:
   /// `payload_source(n)` must return exactly n octets — PPP guarantees a
   /// continuous stream by inserting inter-frame flag fill.
   SonetFramer(StsSpec spec, std::function<Bytes(std::size_t)> payload_source);
 
-  /// Serialise the next full frame (scrambled, ready for the line).
+  /// Write the next frame, scrambled and ready for the line, into `out`
+  /// (spec().frame_bytes() octets, caller-owned; no prior contents read).
+  /// `spe` is this frame's payload after the x^43+1 scrambler, exactly
+  /// spec().payload_bytes_per_frame() octets. One pass over the payload,
+  /// no allocation.
+  void frame_into(u8* out, BytesView spe);
+
+  /// frame_into() a fresh frame around payload_source's next payload (the
+  /// adapter constructor only).
   [[nodiscard]] Bytes next_frame();
 
   [[nodiscard]] const StsSpec& spec() const { return spec_; }
@@ -74,6 +96,7 @@ class SonetFramer {
 
  private:
   StsSpec spec_;
+  const FrameTables* tables_;
   std::function<Bytes(std::size_t)> payload_source_;
   u64 frames_ = 0;
   u8 b1_ = 0;  ///< section BIP-8 computed over the previous scrambled frame
@@ -84,6 +107,7 @@ struct DeframerStats {
   u64 frames_in_sync = 0;
   u64 resyncs = 0;          ///< HUNT->SYNC transitions after the first
   u64 b1_errors = 0;
+  u64 b2_errors = 0;        ///< frames whose rows 3..8 fail their own B2
   u64 b3_errors = 0;
   u64 discarded_octets = 0; ///< octets consumed while hunting
   bool operator==(const DeframerStats&) const = default;
@@ -94,10 +118,11 @@ struct DeframerStats {
 /// bad alignment words drop back to HUNT, modelling SONET's LOF behaviour.
 ///
 /// In sync, a frame that lies whole inside one pushed span is deframed where
-/// it lies: parities over the scrambled octets, then one descrambling copy of
-/// the payload rows into a reused buffer. Only frames that straddle a push
-/// boundary are assembled in a window first; both paths give identical
-/// payloads and stats.
+/// it lies: one pass over each row folds the scrambled octets' parity while
+/// descrambling the payload into a reused buffer; B1, B2 and B3 follow from
+/// those row parities and the shared image's constants. Only frames that
+/// straddle a push boundary are assembled in a window first; both paths give
+/// identical payloads and stats.
 class SonetDeframer {
  public:
   /// `payload_sink` receives each frame's descrambled payload; the view is
@@ -130,13 +155,7 @@ class SonetDeframer {
   u8 expected_b1_ = 0;
   u8 expected_b3_ = 0;
   bool have_b1_ref_ = false;
-  // The frame scrambler restarts every frame, so its keystream is a fixed
-  // image of frame positions: the overhead octets the checks read are
-  // descrambled with one xor each, and B3 over the descrambled SPE is the
-  // scrambled SPE's parity xor the keystream's.
-  u8 ks_b1_ = 0;            ///< keystream octet over B1
-  u8 ks_b3_ = 0;            ///< keystream octet over B3
-  u8 ks_spe_parity_ = 0;    ///< BIP-8 of the keystream over the SPE columns
+  const FrameTables* tables_;
   DeframerStats stats_;
 };
 

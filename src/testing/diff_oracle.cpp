@@ -480,6 +480,7 @@ std::string tier_ledger_diff(const DiffOracle::TierLedger& a,
   field("frames_in_sync", a.deframer.frames_in_sync, b.deframer.frames_in_sync);
   field("resyncs", a.deframer.resyncs, b.deframer.resyncs);
   field("b1_errors", a.deframer.b1_errors, b.deframer.b1_errors);
+  field("b2_errors", a.deframer.b2_errors, b.deframer.b2_errors);
   field("b3_errors", a.deframer.b3_errors, b.deframer.b3_errors);
   field("discarded_octets", a.deframer.discarded_octets, b.deframer.discarded_octets);
   return o.str();

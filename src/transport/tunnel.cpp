@@ -15,29 +15,22 @@ constexpr double kBackoffJitter = 0.25;  ///< +/- fraction applied to each recon
 // ------------------------------------------------------------ TunnelBinding
 
 TunnelBinding TunnelBinding::endpoint(core::SonetEndpoint& ep) {
-  // Pacing: pull only while the endpoint has traffic queued, then linger for
-  // two more SONET frames so the trailing FCS/closing-flag octets flush.
-  // Without the gate an idle endpoint would saturate the wire with flag fill.
-  auto linger = std::make_shared<unsigned>(0);
+  // Pacing: pull only while the endpoint still holds octets of a PPP frame.
+  // tx_pending() stays true until the last frame's closing flag is pulled,
+  // so every frame the far end needs goes out and no frame of pure flag fill
+  // does; without the gate an idle endpoint would saturate the wire.
   TunnelBinding b;
-  b.pull = [&ep, linger]() -> Bytes {
-    if (ep.tx_pending()) {
-      *linger = 2;
-      return ep.pull_frame();
-    }
-    if (*linger > 0) {
-      --*linger;
-      return ep.pull_frame();
-    }
-    return {};
-  };
+  b.pull = [&ep]() -> Bytes { return ep.tx_pending() ? ep.pull_frame() : Bytes{}; };
   b.pull_raw = [&ep] { return ep.pull_frame(); };
-  b.ready = [&ep, linger] { return ep.tx_pending() || *linger > 0; };
+  b.ready = [&ep] { return ep.tx_pending(); };
   // One call per received burst: the line interface takes arbitrary octet
   // runs, so a burst is just consecutive push_line calls — the batch-capable
   // FastP5Endpoint deframes the whole run before the tunnel regains control.
+  // The far end sends nothing after a closing flag, so the receive side runs
+  // to quiescence here (a no-op on the fast tier), as Session does.
   b.push_batch = [&ep](std::span<const BytesView> burst) {
     for (const BytesView& v : burst) ep.push_line(v);
+    ep.drain_rx();
     return burst.size();
   };
   return b;

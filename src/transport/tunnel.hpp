@@ -3,10 +3,10 @@
 //
 // The bound object is abstracted as a TunnelBinding — three TX hooks, one
 // RX hook and an optional housekeeping step — with two stock flavours:
-//   * endpoint() — a core::P5SonetEndpoint. Chunks are whole scrambled
-//     STS-Nc frames; pull is paced by the endpoint's tx_pending() gate (with
-//     a short linger so trailing FCS/flag octets flush) instead of letting
-//     flag fill saturate the wire.
+//   * endpoint() — either device tier's SonetEndpoint. Chunks are whole
+//     scrambled STS-Nc frames; pull is gated by the endpoint's exact
+//     tx_pending(): frames go out while a PPP frame's octets (up to its
+//     closing flag) are still inside the device, and never as pure flag fill.
 //   * channel() — a linecard::Channel's fabric edge. Chunks are encoded
 //     FrameDescs ([u16 protocol BE][u8 fabric_dest][u8 source_channel]
 //     [payload]), extending the MAPOS fabric across processes.

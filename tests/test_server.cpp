@@ -57,15 +57,12 @@ struct Client {
   std::unique_ptr<core::SonetEndpoint> ep;
   std::unique_ptr<Tunnel> tun;
 
-  Client(EventLoop& loop, u16 port, std::optional<u32> hello_tenant = std::nullopt,
-         TunnelConfig extra = {})
+  Client(EventLoop& loop, u16 port)
       : ep(core::make_sonet_endpoint(core::DeviceTier::kFast, {}, sonet::kSts3c)) {
-    TunnelConfig c = extra;
+    TunnelConfig c;
     c.listen = false;
     c.port = port;
-    TunnelBinding b = TunnelBinding::endpoint(*ep);
-    if (hello_tenant) b = with_hello(b, *hello_tenant);
-    tun = std::make_unique<Tunnel>(loop, std::move(b), c);
+    tun = std::make_unique<Tunnel>(loop, TunnelBinding::endpoint(*ep), c);
     tun->start();
   }
 };

@@ -605,6 +605,88 @@ TEST(TransportTunnel, DrainFlushesThenCloses) {
   }
 }
 
+TEST(TransportTunnel, TxPendingHoldsUntilTheLastClosingFlag) {
+  // The endpoint binding pulls only while tx_pending() holds, so that alone
+  // must carry every octet of a burst, up to its last closing flag, to the
+  // far end, and then clear. Bursts of two datagrams whose second length
+  // sweeps the burst's end across an SPE boundary.
+  for (const core::DeviceTier tier : kBothTiers) {
+    SCOPED_TRACE(core::to_string(tier));
+    auto near = core::make_sonet_endpoint(tier, {}, sonet::kSts3c);
+    auto far = core::make_sonet_endpoint(tier, {}, sonet::kSts3c);
+    for (int i = 0; i < 2; ++i) far->push_line(near->pull_frame());
+    Xoshiro256 rng(31);
+    u32 index = 0;
+    for (std::size_t len = 1000; len < 1300; len += 3) {
+      const std::vector<Bytes> burst = {stamped_payload(rng, index, 1100),
+                                        stamped_payload(rng, index + 1, len)};
+      index += 2;
+      for (const Bytes& p : burst) ASSERT_TRUE(near->submit_datagram(0x0021, p));
+      for (std::size_t frames = 0; near->tx_pending(); ++frames) {
+        ASSERT_LT(frames, 4u) << "tx_pending() never cleared";
+        far->push_line(near->pull_frame());
+      }
+      far->drain_rx();
+      for (const Bytes& p : burst) {
+        auto d = far->reap_datagram();
+        ASSERT_TRUE(d.has_value()) << "burst with a " << len << "-octet second datagram";
+        EXPECT_EQ(d->payload, p);
+      }
+      EXPECT_FALSE(far->reap_datagram().has_value());
+    }
+    EXPECT_EQ(far->rx_counters().frames_bad, 0u);
+  }
+}
+
+TEST(TransportTunnel, NoFrameIsPulledOnceABurstHasDrained) {
+  // Every frame a tunnel pulls is pulled while tx_pending() holds: after a
+  // burst's last closing flag, not one frame of pure flag fill.
+  for (const core::DeviceTier tier : kBothTiers) {
+    SCOPED_TRACE(core::to_string(tier));
+    EventLoop loop;
+    auto ep_a = core::make_sonet_endpoint(tier, {}, sonet::kSts3c);
+    auto ep_b = core::make_sonet_endpoint(tier, {}, sonet::kSts3c);
+    TunnelConfig ca;
+    ca.listen = true;
+    Tunnel tun_a(loop, TunnelBinding::endpoint(*ep_a), ca);
+    tun_a.start();
+    std::size_t gated = 0;  // frames pulled while tx_pending() held
+    TunnelBinding b = TunnelBinding::endpoint(*ep_b);
+    b.pull = [inner = b.pull, &ep = *ep_b, &gated] {
+      if (ep.tx_pending()) ++gated;
+      return inner();
+    };
+    TunnelConfig cb;
+    cb.port = tun_a.bound_port();
+    Tunnel tun_b(loop, std::move(b), cb);
+    tun_b.start();
+    const auto pump = [&] {
+      tun_a.pump();
+      tun_b.pump();
+      loop.run_once(1);
+    };
+    for (int guard = 0; guard < 2000 && !tun_b.established(); ++guard) pump();
+    ASSERT_TRUE(tun_b.established());
+
+    Xoshiro256 rng(41);
+    u32 sent = 0, delivered = 0;
+    for (int burst = 0; burst < 6; ++burst) {
+      for (u64 n = 1 + rng.below(8); n > 0; --n)
+        ASSERT_TRUE(ep_b->submit_datagram(0x0021, stamped_payload(rng, sent++, rng.range(1, 1400))));
+      for (int guard = 0; guard < 5000 && (delivered < sent || ep_b->tx_pending()); ++guard) {
+        pump();
+        while (ep_a->reap_datagram()) ++delivered;
+      }
+      ASSERT_EQ(delivered, sent);
+      for (int i = 0; i < 20; ++i) pump();  // idle: nothing to pull
+      EXPECT_GT(gated, 0u);
+      EXPECT_EQ(ep_b->frames_pulled(), gated) << "after burst " << burst;
+    }
+    EXPECT_EQ(tun_b.stats().frames_out, gated);
+    EXPECT_EQ(ep_a->rx_counters().frames_bad, 0u);
+  }
+}
+
 TEST(TransportTunnel, BackoffBudgetFailsClosed) {
   // Find a port with nobody behind it.
   u16 dead_port;
