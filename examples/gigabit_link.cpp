@@ -2,11 +2,11 @@
 //
 // Two P5 devices (32-bit datapath) are joined by an STS-48c path (2.488 Gbps
 // line rate): PPP octet stream -> x^43+1 payload scrambling -> SPE mapping
-// -> frame-synchronous scrambling -> an optical line with injected bit
-// errors -> deframing -> the peer P5's receive pipeline. IMIX traffic runs
-// both ways and the error accounting at every layer is reported. B's
-// deliveries are recorded to gigabit_link.pcap (PPP linktype, stamped with
-// device time) in the working directory.
+// -> frame-synchronous scrambling -> a line with seeded bit errors (one
+// testing::FaultyLine per direction) -> deframing -> the peer P5's receive
+// pipeline. IMIX traffic runs both ways and the error accounting at every
+// layer is reported. B's deliveries are recorded to gigabit_link.pcap (PPP
+// linktype, stamped with device time) in the working directory.
 //
 //   build/examples/gigabit_link [ber]    (default ber = 1e-6)
 #include <cstdio>
@@ -16,6 +16,7 @@
 #include "net/capture/tap.hpp"
 #include "net/traffic.hpp"
 #include "p5/sonet_link.hpp"
+#include "testing/fault.hpp"
 
 int main(int argc, char** argv) {
   using namespace p5;
@@ -24,10 +25,10 @@ int main(int argc, char** argv) {
 
   core::P5Config cfg;
   cfg.lanes = 4;
-  sonet::LineConfig line;
-  line.bit_error_rate = ber;
-  line.seed = 2026;
-  core::P5SonetLink link(cfg, sonet::kSts48c, line);
+  core::P5SonetLink link(cfg, sonet::kSts48c);
+  testing::FaultyLine line_ab(testing::FaultSpec::ber(ber, 2026));
+  testing::FaultyLine line_ba(testing::FaultSpec::ber(ber, 2027));
+  link.set_line_tap(std::ref(line_ab), std::ref(line_ba));
 
   std::printf("IP over SONET: STS-48c, line %.2f Mbps, PPP payload %.2f Mbps, BER %.1e\n",
               link.sts().line_rate_mbps(), link.sts().payload_rate_mbps(), ber);
@@ -82,11 +83,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(delivered_ab + delivered_ba),
               static_cast<unsigned long long>(corrupted));
 
-  const auto& ls = link.line_ab_stats();
-  std::printf("\nline A->B: %llu octets, %llu bit errors (measured BER %.2e)\n",
+  const testing::FaultStats& ls = line_ab.stats();
+  std::printf("\nline A->B: %llu octets, %llu bit flips (measured BER %.2e)\n",
               static_cast<unsigned long long>(ls.octets),
-              static_cast<unsigned long long>(ls.bit_errors),
-              ls.octets ? static_cast<double>(ls.bit_errors) / (8.0 * ls.octets) : 0.0);
+              static_cast<unsigned long long>(ls.bit_flips),
+              ls.octets ? static_cast<double>(ls.bit_flips) / (8.0 * ls.octets) : 0.0);
 
   const auto& ds = link.a_to_b_stats();
   std::printf("SONET B (rx): %llu frames in sync, %llu resyncs, B1/B2/B3 errs %llu/%llu/%llu\n",

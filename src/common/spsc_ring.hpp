@@ -1,9 +1,9 @@
 // Fixed-capacity lock-free single-producer/single-consumer ring.
 //
-// The line-card runtime moves frame descriptors between three parties —
-// traffic sources, channel workers, and the fabric — and every edge is
-// single-producer/single-consumer by construction, so the classic two-index
-// ring suffices: the producer owns `tail_`, the consumer owns `head_`, and
+// Every inter-thread edge in the repo is single-producer/single-consumer by
+// construction — the line card's source/fabric/egress rings between traffic
+// sources, channel workers and the fabric, and a server shard's adoption and
+// uplink rings — so the classic two-index ring suffices: the producer owns `tail_`, the consumer owns `head_`, and
 // each side publishes its index with release stores the other side reads
 // with acquire loads. Cached copies of the remote index keep the fast path
 // free of cross-core traffic (an index reload only happens when the cached
@@ -24,7 +24,7 @@
 #include "common/check.hpp"
 #include "common/types.hpp"
 
-namespace p5::linecard {
+namespace p5 {
 
 /// Alignment that keeps producer-side and consumer-side state on distinct
 /// cache lines (no false sharing between the two threads).
@@ -138,4 +138,4 @@ class SpscRing {
   std::atomic<u64> pop_stalls_{0};
 };
 
-}  // namespace p5::linecard
+}  // namespace p5

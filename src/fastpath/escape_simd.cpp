@@ -787,8 +787,4 @@ u32 EscapeEngine::stuff_crc_append(Bytes& out, BytesView data, const SliceCrc& c
   return state;
 }
 
-std::size_t EscapeEngine::count_escapes(BytesView data) const {
-  return fastpath::count_escapes(data, accm_);
-}
-
 }  // namespace p5::fastpath

@@ -127,9 +127,6 @@ class EscapeEngine {
   [[nodiscard]] u32 stuff_crc_append(Bytes& out, BytesView data, const SliceCrc& crc,
                                      u32 state) const;
 
-  /// Exact number of octets stuffing would add.
-  [[nodiscard]] std::size_t count_escapes(BytesView data) const;
-
   [[nodiscard]] const TierCounters& counters() const { return counters_; }
   void reset_counters() const { counters_ = {}; }
 

@@ -28,21 +28,6 @@ inline std::size_t skip_clean_words(const u8* p, std::size_t i, std::size_t n, b
 
 }  // namespace
 
-std::size_t count_escapes(BytesView data, const hdlc::Accm& accm) {
-  const u8* p = data.data();
-  const std::size_t n = data.size();
-  const bool controls = accm.map() != 0;
-  std::size_t count = 0;
-  std::size_t i = 0;
-  while (i < n) {
-    i = skip_clean_words(p, i, n, controls);
-    const std::size_t stop = i + 8 < n ? i + 8 : n;
-    for (; i < stop; ++i)
-      if (accm.must_escape(p[i])) ++count;
-  }
-  return count;
-}
-
 void stuff_append(Bytes& out, BytesView data, const hdlc::Accm& accm) {
   const u8* p = data.data();
   const std::size_t n = data.size();

@@ -13,9 +13,6 @@
 
 namespace p5::fastpath {
 
-/// Exact number of octets that RFC 1662 stuffing would add.
-[[nodiscard]] std::size_t count_escapes(BytesView data, const hdlc::Accm& accm);
-
 /// Append the stuffed image of `data` to `out`.
 void stuff_append(Bytes& out, BytesView data, const hdlc::Accm& accm);
 

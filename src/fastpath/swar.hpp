@@ -68,11 +68,4 @@ inline constexpr u64 kSwarHighs = 0x8080808080808080ull;
   return n;
 }
 
-/// Index of the first occurrence of `b` in [i, n); n if absent.
-[[nodiscard]] inline std::size_t find_byte(const u8* p, std::size_t i, std::size_t n, u8 b) {
-  if (i >= n) return n;
-  const void* hit = std::memchr(p + i, b, n - i);
-  return hit != nullptr ? static_cast<std::size_t>(static_cast<const u8*>(hit) - p) : n;
-}
-
 }  // namespace p5::fastpath

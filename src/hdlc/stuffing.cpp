@@ -39,10 +39,6 @@ Bytes stuff(BytesView data, const Accm& accm) {
   return out;
 }
 
-std::size_t stuffing_expansion(BytesView data, const Accm& accm) {
-  return fastpath::count_escapes(data, accm);
-}
-
 DestuffResult destuff(BytesView data) {
   DestuffResult r;
   r.data.reserve(data.size() + fastpath::kStuffSlack);

@@ -15,9 +15,6 @@ namespace p5::hdlc {
 /// character) becomes 0x7D followed by the octet XOR 0x20.
 [[nodiscard]] Bytes stuff(BytesView data, const Accm& accm = Accm::sonet());
 
-/// Count of octets that stuffing would add (used for buffer sizing math).
-[[nodiscard]] std::size_t stuffing_expansion(BytesView data, const Accm& accm = Accm::sonet());
-
 struct DestuffResult {
   Bytes data;
   bool ok = true;  ///< false on malformed input (dangling or invalid escape)

@@ -25,7 +25,7 @@ Channel::Channel(unsigned index, const ChannelConfig& cfg, ChannelTelemetry& tel
     : index_(index),
       cfg_(cfg),
       tel_(telemetry),
-      link_(std::make_unique<core::P5SonetLink>(cfg.p5, cfg.sts, cfg.line, cfg.tier)),
+      link_(std::make_unique<core::P5SonetLink>(cfg.p5, cfg.sts, cfg.tier)),
       source_(cfg.ring_capacity),
       fabric_(cfg.ring_capacity),
       egress_(cfg.ring_capacity) {

@@ -20,9 +20,9 @@
 #include <memory>
 #include <optional>
 
+#include "common/spsc_ring.hpp"
 #include "hdlc/frame.hpp"
 #include "linecard/frame_desc.hpp"
-#include "linecard/spsc_ring.hpp"
 #include "linecard/telemetry.hpp"
 #include "p5/sonet_link.hpp"
 
@@ -31,7 +31,6 @@ namespace p5::linecard {
 struct ChannelConfig {
   core::P5Config p5;                    ///< applied to both ends of the link
   sonet::StsSpec sts = sonet::kSts3c;   ///< tributary pipe (STS-3c, -12c, -48c)
-  sonet::LineConfig line;               ///< optical line model (seed offset per channel)
   core::DeviceTier tier = core::DeviceTier::kCycle;  ///< datapath tier for both link ends
   std::size_t ring_capacity = 256;      ///< each of source/fabric/egress rings
 };
@@ -52,19 +51,6 @@ class Channel {
   [[nodiscard]] SpscRing<FrameDesc>& source_ring() { return source_; }
   [[nodiscard]] SpscRing<FrameDesc>& fabric_ring() { return fabric_; }
   [[nodiscard]] SpscRing<FrameDesc>& egress_ring() { return egress_; }
-
-  // Fabric-edge taps for an external transport (transport::Tunnel) that
-  // extends the MAPOS fabric across processes: the tunnel plays the fabric's
-  // role on these rings, so the SPSC discipline holds as long as nothing
-  // else consumes egress_/produces into fabric_ on this channel.
-  /// Take one delivered frame off the egress ring (what the fabric would
-  /// forward). nullopt when none is waiting.
-  [[nodiscard]] std::optional<FrameDesc> egress_take() { return egress_.try_pop(); }
-  /// Offer one frame toward this channel's link, exactly as the fabric
-  /// would. False = ring full; the caller owns the backpressure decision.
-  [[nodiscard]] bool ingress_offer(FrameDesc&& d) { return fabric_.try_push(std::move(d)); }
-  /// Frames waiting on the egress ring (approximate, exact at quiescence).
-  [[nodiscard]] std::size_t egress_pending() const { return egress_.size_approx(); }
 
   [[nodiscard]] core::P5SonetLink& link() { return *link_; }
   [[nodiscard]] const core::P5SonetLink& link() const { return *link_; }

@@ -17,9 +17,7 @@ LineCard::LineCard(const LineCardConfig& cfg)
   nodes_.reserve(cfg.channels);
 
   for (unsigned i = 0; i < cfg.channels; ++i) {
-    ChannelConfig cc = cfg.channel;
-    cc.line.seed = cfg.channel.line.seed + 2ull * i;  // independent noise per tributary
-    channels_.push_back(std::make_unique<Channel>(i, cc, telemetry_.channel(i)));
+    channels_.push_back(std::make_unique<Channel>(i, cfg.channel, telemetry_.channel(i)));
 
     nodes_.push_back(
         std::make_unique<net::MaposNode>([this, i](BytesView wire) { fabric_.rx(i, wire); }));

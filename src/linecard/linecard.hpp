@@ -44,8 +44,9 @@ namespace p5::linecard {
 
 struct LineCardConfig {
   unsigned channels = 4;
-  /// Per-channel template; channel i's optical line runs with
-  /// `channel.line.seed + 2*i` so tributaries see independent noise.
+  /// Per-channel template, applied to every tributary. Each channel's line
+  /// is clean unless a test puts a seeded tap on it
+  /// (`channel(i).link().set_line_tap(...)`).
   ChannelConfig channel;
 };
 

@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "common/counters.hpp"
+#include "common/spsc_ring.hpp"
 #include "common/types.hpp"
-#include "linecard/spsc_ring.hpp"
 
 namespace p5::linecard {
 

@@ -25,14 +25,4 @@ PcapFile synthesize_tcp_trace(const TraceGenConfig& cfg) {
   return file;
 }
 
-bool write_tcp_trace(const std::string& path, const TraceGenConfig& cfg) {
-  const PcapFile file = synthesize_tcp_trace(cfg);
-  PcapWriter w;
-  if (!w.create(path, file.meta)) return false;
-  for (const PcapRecord& rec : file.records)
-    if (!w.write(rec)) return false;
-  w.flush();
-  return true;
-}
-
 }  // namespace p5::net::capture

@@ -12,7 +12,6 @@
 // bench baselines and golden assertions can rely on the bytes.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -32,8 +31,5 @@ struct TraceGenConfig {
 
 /// Synthesize the trace in memory (linktype raw-IP, nsec precision).
 [[nodiscard]] PcapFile synthesize_tcp_trace(const TraceGenConfig& cfg);
-
-/// Synthesize and write to `path`. False: file not writable.
-[[nodiscard]] bool write_tcp_trace(const std::string& path, const TraceGenConfig& cfg);
 
 }  // namespace p5::net::capture

@@ -34,7 +34,6 @@ std::size_t TunBridge::drain_tun() {
     ++read;
     ++stats_.tun_rx_packets;
     stats_.tun_rx_bytes += packet.size();
-    if (tun_rx_tap_) tun_rx_tap_(packet);
     (void)offer(std::move(packet));
     packet = Bytes{};
   }

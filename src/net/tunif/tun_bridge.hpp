@@ -76,8 +76,6 @@ class TunBridge {
   /// Observe datagrams as they are written to the kernel (post-VJ — real
   /// IP), e.g. CaptureTap::line_tap-compatible recording.
   void set_delivered_tap(std::function<void(BytesView)> tap) { delivered_tap_ = std::move(tap); }
-  /// Observe datagrams as they arrive from the kernel (pre-VJ — real IP).
-  void set_tun_rx_tap(std::function<void(BytesView)> tap) { tun_rx_tap_ = std::move(tap); }
 
   [[nodiscard]] const TunBridgeStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t backlog() const { return backlog_.size(); }
@@ -103,7 +101,6 @@ class TunBridge {
   std::unique_ptr<ppp::vj::Decompressor> vj_decomp_;
 
   std::function<void(BytesView)> delivered_tap_;
-  std::function<void(BytesView)> tun_rx_tap_;
   bool fd_registered_ = false;
 };
 

@@ -57,21 +57,6 @@ NodeId Builder::reduce_and(const Bus& bits) { return reduce_tree(nl_, Op::kAnd, 
 NodeId Builder::reduce_or(const Bus& bits) { return reduce_tree(nl_, Op::kOr, bits); }
 NodeId Builder::reduce_xor(const Bus& bits) { return reduce_tree(nl_, Op::kXor, bits); }
 
-Bus Builder::bitwise_xor(const Bus& a, const Bus& b) {
-  P5_EXPECTS(a.size() == b.size());
-  Bus out;
-  out.reserve(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out.push_back(nl_.xor_(a[i], b[i]));
-  return out;
-}
-
-Bus Builder::bitwise_and(const Bus& a, NodeId enable) {
-  Bus out;
-  out.reserve(a.size());
-  for (const NodeId bit : a) out.push_back(nl_.and_(bit, enable));
-  return out;
-}
-
 Bus Builder::mux_bus(NodeId sel, const Bus& when0, const Bus& when1) {
   P5_EXPECTS(when0.size() == when1.size());
   Bus out;

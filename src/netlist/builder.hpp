@@ -34,8 +34,6 @@ class Builder {
   [[nodiscard]] NodeId reduce_xor(const Bus& bits);
 
   // ---- bitwise ----
-  [[nodiscard]] Bus bitwise_xor(const Bus& a, const Bus& b);
-  [[nodiscard]] Bus bitwise_and(const Bus& a, NodeId enable);
   [[nodiscard]] Bus mux_bus(NodeId sel, const Bus& when0, const Bus& when1);
   /// N-way one-hot mux: exactly one select should be high.
   [[nodiscard]] Bus onehot_mux(const std::vector<NodeId>& selects,

@@ -78,13 +78,19 @@ bool FastP5Endpoint::submit_datagram(u16 protocol, Bytes payload) {
 }
 
 Bytes FastP5Endpoint::pull_frame() {
-  // The SPE payload: the continuous PPP stream (encoded frames back to back,
-  // flag fill when idle) through the x^43+1 scrambler, straight out of the
-  // encode arena. Its delay line stays continuous across wire pieces and
-  // frames, exactly as on the cycle endpoint's line.
+  // The SPE payload: the continuous PPP stream (encoded frames back to back)
+  // through the x^43+1 scrambler, straight out of the encode arena. Its
+  // delay line stays continuous across wire pieces and frames, exactly as on
+  // the cycle endpoint's line. When the queue runs dry, flag fill closes
+  // this SPE and nothing more: the next burst starts the next frame.
   const std::size_t n = tx_spe_.size();
   for (std::size_t filled = 0; filled < n;) {
     if (tx_head_ >= tx_wire_.size()) tx_refill();
+    if (tx_wire_.empty()) {
+      // Idle line: continuous flag fill (RFC 1619 octet-synchronous stream).
+      scr_tx_.scramble_into(tx_spe_.data() + filled, BytesView(idle_fill_).first(n - filled));
+      break;
+    }
     const std::size_t take = std::min(n - filled, tx_wire_.size() - tx_head_);
     scr_tx_.scramble_into(tx_spe_.data() + filled, tx_wire_.subspan(tx_head_, take));
     tx_head_ += take;
@@ -118,9 +124,7 @@ void FastP5Endpoint::tx_refill() {
   batch_reqs_.clear();
   while (auto req = memory_.fetch_tx()) batch_reqs_.push_back(std::move(*req));
   if (batch_reqs_.empty()) {
-    // Idle line: continuous flag fill (RFC 1619 octet-synchronous stream).
-    tx_wire_ = idle_fill_;
-    tx_wire_is_data_ = false;
+    tx_wire_ = {};  // idle: pull_frame() fills the rest of its SPE with flags
     return;
   }
   batch_.clear();
@@ -133,7 +137,6 @@ void FastP5Endpoint::tx_refill() {
     batch_.push_back(f);
   }
   tx_wire_ = hdlc::encode_batch_into(tx_arena_, tx_fcfg_, batch_);
-  tx_wire_is_data_ = true;
 }
 
 void FastP5Endpoint::on_stuffed_frame(BytesView stuffed) {

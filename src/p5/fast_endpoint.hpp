@@ -6,13 +6,15 @@
 //   TX: SharedMemory ring -> hdlc::encode_batch_into (FCS — carry-less
 //       multiply or slicing-by-16 — + SIMD escape engine, one worst-case
 //       reservation per batch; each frame's closing flag included)
-//       -> inter-frame flag fill -> x^43+1 self-sync payload scrambler word
-//       loop from the encode arena into one reused SPE buffer
+//       -> flag fill to the end of the SPE when the queue runs dry (the
+//       next burst starts a fresh SPE) -> x^43+1 self-sync payload
+//       scrambler word loop from the encode arena into one reused SPE buffer
 //       -> sonet::SonetFramer::frame_into (one pass: overhead from the
 //       per-level scrambled image, payload xor keystream, B1/B2/B3 from the
 //       payload's row parities)
-//   RX: sonet::SonetDeframer (alignment recovery, pointer interpretation,
-//       BIP checks; a whole frame in one chunk is deframed in place) ->
+//   RX: sonet::SonetDeframer (alignment recovery, BIP checks; the SPE is
+//       frame-locked, so H1/H2 are not interpreted; a whole frame in one
+//       chunk is deframed in place) ->
 //       self-sync descrambler -> hdlc::Delineator (bulk flag scan; frames
 //       inside one SPE reach the receiver as views, not copies) -> SIMD
 //       destuff -> FCS residue check (carry-less multiply or slicing-by-16)
@@ -70,7 +72,7 @@ class FastP5Endpoint final : public SonetEndpoint {
   /// Exact: the encoder writes each frame's closing flag into tx_wire_, so
   /// once the queue is empty and the wire consumed, the last frame is out.
   [[nodiscard]] bool tx_pending() const override {
-    return memory_.tx_pending() > 0 || (tx_wire_is_data_ && tx_head_ < tx_wire_.size());
+    return memory_.tx_pending() > 0 || tx_head_ < tx_wire_.size();
   }
   [[nodiscard]] std::size_t tx_queue_depth() const override { return memory_.tx_pending(); }
   [[nodiscard]] u64 frames_pulled() const override;
@@ -91,7 +93,7 @@ class FastP5Endpoint final : public SonetEndpoint {
 
  private:
   /// Re-point tx_wire_ at fresh stream content: a batch encode of every
-  /// queued datagram, or flag fill when the queue is idle.
+  /// queued datagram, or nothing when the queue is idle.
   void tx_refill();
   /// Delineator sink: one stuffed frame body (flags stripped).
   void on_stuffed_frame(BytesView stuffed);
@@ -111,8 +113,7 @@ class FastP5Endpoint final : public SonetEndpoint {
   std::vector<hdlc::BatchFrame> batch_;
   Bytes idle_fill_;                         ///< one SPE of flag fill
   Bytes tx_spe_;                            ///< the next frame's scrambled SPE payload
-  BytesView tx_wire_;                       ///< current stream source (arena or fill)
-  bool tx_wire_is_data_ = false;            ///< tx_wire_ holds frames, not idle fill
+  BytesView tx_wire_;                       ///< encoded frames (empty when idle)
   std::size_t tx_head_ = 0;                 ///< consumed prefix of tx_wire_
 
   // --- RX ---

@@ -4,7 +4,7 @@ namespace p5::core {
 
 bool SharedMemory::post_tx(TxRequest req) {
   const std::size_t bytes = req.payload.size();
-  if (tx_ring_.size() >= cfg_.tx_ring_entries || tx_bytes_ + bytes > cfg_.tx_pool_bytes) {
+  if (!tx_has_room(bytes)) {
     ++stats_.tx_rejected;
     return false;
   }
@@ -26,7 +26,7 @@ std::optional<TxRequest> SharedMemory::fetch_tx() {
 
 bool SharedMemory::store_rx(RxDelivery d) {
   const std::size_t bytes = d.payload.size();
-  if (rx_ring_.size() >= cfg_.rx_ring_entries || rx_bytes_ + bytes > cfg_.rx_pool_bytes) {
+  if (rx_ring_.size() >= kRingEntries || rx_bytes_ + bytes > kPoolBytes) {
     ++stats_.rx_dropped;
     return false;
   }

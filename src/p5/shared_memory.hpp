@@ -17,13 +17,6 @@
 
 namespace p5::core {
 
-struct SharedMemoryConfig {
-  std::size_t tx_pool_bytes = 64 * 1024;
-  std::size_t rx_pool_bytes = 64 * 1024;
-  std::size_t tx_ring_entries = 64;
-  std::size_t rx_ring_entries = 64;
-};
-
 struct SharedMemoryStats {
   u64 tx_posted = 0;
   u64 tx_rejected = 0;   ///< pool or ring full at post time
@@ -37,7 +30,10 @@ struct SharedMemoryStats {
 
 class SharedMemory {
  public:
-  explicit SharedMemory(const SharedMemoryConfig& cfg = SharedMemoryConfig()) : cfg_(cfg) {}
+  /// Per direction: the byte budget of the packet pool and the number of
+  /// descriptor ring entries.
+  static constexpr std::size_t kPoolBytes = 64 * 1024;
+  static constexpr std::size_t kRingEntries = 64;
 
   // ---- host -> transmitter ----
   /// Queue a datagram for transmission; false when the pool/ring is full.
@@ -46,8 +42,7 @@ class SharedMemory {
   /// own their payload check before moving it in (post_tx consumes the
   /// request even when it rejects it).
   [[nodiscard]] bool tx_has_room(std::size_t payload_bytes) const {
-    return tx_ring_.size() < cfg_.tx_ring_entries &&
-           tx_bytes_ + payload_bytes <= cfg_.tx_pool_bytes;
+    return tx_ring_.size() < kRingEntries && tx_bytes_ + payload_bytes <= kPoolBytes;
   }
   /// Device side: take the next frame to transmit.
   [[nodiscard]] std::optional<TxRequest> fetch_tx();
@@ -65,7 +60,6 @@ class SharedMemory {
   [[nodiscard]] std::size_t rx_bytes_used() const { return rx_bytes_; }
 
  private:
-  SharedMemoryConfig cfg_;
   std::deque<TxRequest> tx_ring_;
   std::deque<RxDelivery> rx_ring_;
   std::size_t tx_bytes_ = 0;

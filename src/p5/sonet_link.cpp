@@ -28,21 +28,16 @@ bool P5SonetEndpoint::tx_pending() const {
          dev_->tx_frames_closed() < dev_->tx_control().frames_started();
 }
 
-P5SonetLink::P5SonetLink(const P5Config& cfg, sonet::StsSpec sts,
-                         const sonet::LineConfig& line_cfg, DeviceTier tier)
-    : P5SonetLink(cfg, cfg, sts, line_cfg, tier) {}
+P5SonetLink::P5SonetLink(const P5Config& cfg, sonet::StsSpec sts, DeviceTier tier)
+    : P5SonetLink(cfg, cfg, sts, tier) {}
 
 P5SonetLink::P5SonetLink(const P5Config& a_cfg, const P5Config& b_cfg, sonet::StsSpec sts,
-                         const sonet::LineConfig& line_cfg, DeviceTier tier)
+                         DeviceTier tier)
     : sts_(sts),
       tier_(tier),
       ep_a_(make_sonet_endpoint(tier, a_cfg, sts)),
       ep_b_(make_sonet_endpoint(tier, b_cfg, sts)),
-      host_engine_(a_cfg.accm),
-      line_ab_(line_cfg),
-      line_ba_(sonet::LineConfig{line_cfg.bit_error_rate, line_cfg.burst_enter,
-                                 line_cfg.burst_exit, line_cfg.burst_error_rate,
-                                 line_cfg.seed + 1}) {}
+      host_engine_(a_cfg.accm) {}
 
 P5& P5SonetLink::a() {
   P5_EXPECTS(tier_ == DeviceTier::kCycle);
@@ -56,10 +51,10 @@ P5& P5SonetLink::b() {
 
 void P5SonetLink::exchange_frames(std::size_t frames) {
   for (std::size_t i = 0; i < frames; ++i) {
-    Bytes ab = line_ab_.transfer(ep_a_->pull_frame());
+    Bytes ab = ep_a_->pull_frame();
     if (tap_ab_) tap_ab_(ab);
     ep_b_->push_line(ab);
-    Bytes ba = line_ba_.transfer(ep_b_->pull_frame());
+    Bytes ba = ep_b_->pull_frame();
     if (tap_ba_) tap_ba_(ba);
     ep_a_->push_line(ba);
   }

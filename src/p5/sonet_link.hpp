@@ -1,19 +1,20 @@
 // Full-stack integration: P5 devices joined by an SDH/SONET path — the
 // "IP over SDH/SONET" of the paper's title.
 //
-//   P5(A).TX -> SPE framer -> scrambled STS-Nc frames -> optical line model
+//   P5(A).TX -> SPE framer -> scrambled STS-Nc frames -> [line tap]
 //            -> deframer -> P5(B).RX          (and the mirror direction)
 //
 // The x^43+1 self-synchronous payload scrambler (RFC 2615) runs over the
-// PPP octet stream inside the SPE. The line model injects seeded bit
-// errors, exercising the FCS/abort/delineation recovery paths end to end.
+// PPP octet stream inside the SPE. Line errors come from an optional
+// per-direction tap — a seeded testing::FaultyLine — which exercises the
+// FCS/abort/delineation recovery paths end to end.
 //
 // The building block is P5SonetEndpoint — ONE end of the link: a P5 device
 // plus the framer/deframer/scrambler set that turns its PHY word stream
 // into the scrambled STS-Nc octet stream a line carries. P5SonetLink wires
-// two endpoints back to back through the in-memory optical line model;
-// transport::Tunnel (src/transport) binds a single endpoint to a real
-// socket so the far end can live in another process.
+// two endpoints back to back in memory; transport::Tunnel (src/transport)
+// binds a single endpoint to a real socket so the far end can live in
+// another process.
 #pragma once
 
 #include <functional>
@@ -22,7 +23,6 @@
 #include "fastpath/escape_simd.hpp"
 #include "p5/endpoint.hpp"
 #include "p5/p5.hpp"
-#include "sonet/line.hpp"
 #include "sonet/scrambler.hpp"
 #include "sonet/spe.hpp"
 
@@ -108,12 +108,11 @@ class P5SonetEndpoint final : public SonetEndpoint {
 
 class P5SonetLink {
  public:
-  P5SonetLink(const P5Config& cfg, sonet::StsSpec sts, const sonet::LineConfig& line_cfg,
-              DeviceTier tier = DeviceTier::kCycle);
+  P5SonetLink(const P5Config& cfg, sonet::StsSpec sts, DeviceTier tier = DeviceTier::kCycle);
   /// Asymmetric link: distinct configurations per end (e.g. a line-card
   /// tributary whose two ends carry different programmed MAPOS addresses).
   P5SonetLink(const P5Config& a_cfg, const P5Config& b_cfg, sonet::StsSpec sts,
-              const sonet::LineConfig& line_cfg, DeviceTier tier = DeviceTier::kCycle);
+              DeviceTier tier = DeviceTier::kCycle);
 
   [[nodiscard]] DeviceTier tier() const { return tier_; }
 
@@ -141,11 +140,12 @@ class P5SonetLink {
   /// Move one SONET frame in each direction (A->B and B->A).
   void exchange_frames(std::size_t frames = 1);
 
-  /// Optional per-direction mutation of each SONET frame *after* the line
-  /// model and before the deframer — the insertion point for fault injection
-  /// (testing::FaultyLine is directly callable as a tap). Either tap may be
-  /// empty. A tap runs on whichever thread pumps exchange_frames, so give
-  /// each direction its own stateful tap object.
+  /// Optional per-direction mutation of each SONET frame between the far
+  /// transmitter and the deframer — the line itself, and the one insertion
+  /// point for bit errors and other faults (testing::FaultyLine is directly
+  /// callable as a tap). Either tap may be empty: a clean line. A tap runs
+  /// on whichever thread pumps exchange_frames, so give each direction its
+  /// own stateful tap object.
   using LineTap = std::function<void(Bytes&)>;
   void set_line_tap(LineTap a_to_b, LineTap b_to_a) {
     tap_ab_ = std::move(a_to_b);
@@ -154,7 +154,6 @@ class P5SonetLink {
 
   [[nodiscard]] const sonet::DeframerStats& a_to_b_stats() const { return ep_b_->rx_stats(); }
   [[nodiscard]] const sonet::DeframerStats& b_to_a_stats() const { return ep_a_->rx_stats(); }
-  [[nodiscard]] const sonet::LineStats& line_ab_stats() const { return line_ab_.stats(); }
   [[nodiscard]] const sonet::StsSpec& sts() const { return sts_; }
 
  private:
@@ -163,7 +162,6 @@ class P5SonetLink {
   std::unique_ptr<SonetEndpoint> ep_a_;
   std::unique_ptr<SonetEndpoint> ep_b_;
   fastpath::EscapeEngine host_engine_;  ///< derived once from the A-side ACCM
-  sonet::Line line_ab_, line_ba_;
   LineTap tap_ab_, tap_ba_;
 };
 

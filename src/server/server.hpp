@@ -118,7 +118,7 @@ class Uplink {
 
   Config cfg_;
   TenantRegistry& tenants_;
-  std::vector<linecard::SpscRing<UplinkItem>*> rings_;
+  std::vector<SpscRing<UplinkItem>*> rings_;
   Sink sink_;
   std::map<u32, Queue> queues_;
   std::deque<u32> active_;  ///< round-robin order of nonempty queues

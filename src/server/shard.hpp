@@ -3,8 +3,8 @@
 // server — an adoption ring (connections fanned out to it) and an uplink
 // handoff ring (datagrams it forwards to the shared uplink).
 //
-// Both edges are linecard::SpscRing and both are single-producer/
-// single-consumer by construction:
+// Both edges are SpscRing (common/spsc_ring.hpp) and both are
+// single-producer/single-consumer by construction:
 //   * adoption: produced by the accept context (shard 0's loop thread, or
 //     the stepping thread in deterministic mode), consumed by this shard;
 //   * uplink:   produced by this shard's sessions, consumed by the uplink
@@ -24,7 +24,7 @@
 #include <thread>
 #include <vector>
 
-#include "linecard/spsc_ring.hpp"
+#include "common/spsc_ring.hpp"
 #include "server/session.hpp"
 #include "transport/event_loop.hpp"
 #include "transport/stats.hpp"
@@ -72,7 +72,7 @@ class Shard {
   /// Session-side producer hook (bound into SessionEnv by the server).
   [[nodiscard]] bool uplink_push(UplinkItem&& item) { return uplink_ring_.try_push(std::move(item)); }
   /// Consumer side, for the uplink owner only.
-  [[nodiscard]] linecard::SpscRing<UplinkItem>& uplink_ring() { return uplink_ring_; }
+  [[nodiscard]] SpscRing<UplinkItem>& uplink_ring() { return uplink_ring_; }
 
   // ---- driving ----
   /// One bounded slice (loop dispatch + adoptions + session TX + sweep).
@@ -126,8 +126,8 @@ class Shard {
   /// recycles chunk buffers instead of round-tripping the heap. Declared
   /// before sessions_ so queued ChunkRefs release into a live pool.
   transport::ChunkPool pool_{&tel_};
-  linecard::SpscRing<PendingConn> adoption_ring_;
-  linecard::SpscRing<UplinkItem> uplink_ring_;
+  SpscRing<PendingConn> adoption_ring_;
+  SpscRing<UplinkItem> uplink_ring_;
   std::vector<std::unique_ptr<Session>> sessions_;
   std::function<void()> on_slice_;
   std::thread thread_;

@@ -12,7 +12,8 @@
 //   * under P5SonetLink — P5SonetLink::set_line_tap takes any
 //     std::function<void(Bytes&)>; a FaultyLine is directly callable, so
 //     `link.set_line_tap(std::ref(fault_ab), std::ref(fault_ba))` puts the
-//     model on the optical line (chunks are whole scrambled SONET frames);
+//     model on the line (chunks are whole scrambled SONET frames; a link
+//     with no tap has a clean line, and there is no other line model);
 //   * under linecard::Channel — `card.channel(i).link().set_line_tap(...)`
 //     before the card starts (each direction's FaultyLine is then touched
 //     only by that channel's worker, so threaded mode stays race-free);

@@ -6,7 +6,6 @@
 namespace p5::transport {
 
 struct ChunkPool::Core {
-  Config cfg;
   TransportTelemetry* tel = nullptr;
   std::vector<ChunkRef::Chunk*> free_list;
   bool closed = false;
@@ -40,23 +39,18 @@ void ChunkRef::release() {
   if (c == nullptr) return;
   ChunkPool::Core& core = *c->core;
   core.outstanding.fetch_sub(1, std::memory_order_relaxed);
-  if (core.closed || core.free_list.size() >= core.cfg.max_free) {
+  if (core.closed || core.free_list.size() >= ChunkPool::kMaxFree) {
     delete c;  // the chunk outlived its pool (or the list is full): just free
     return;
   }
   c->data.clear();
-  if (c->data.capacity() > core.cfg.retain_capacity) {
+  if (c->data.capacity() > ChunkPool::kRetainCapacity) {
     Bytes().swap(c->data);  // give oversize capacity back to the allocator
   }
   core.free_list.push_back(c);
 }
 
-ChunkPool::ChunkPool() : ChunkPool(nullptr, Config{}) {}
-
-ChunkPool::ChunkPool(TransportTelemetry* tel) : ChunkPool(tel, Config{}) {}
-
-ChunkPool::ChunkPool(TransportTelemetry* tel, Config cfg) : core_(std::make_shared<Core>()) {
-  core_->cfg = cfg;
+ChunkPool::ChunkPool(TransportTelemetry* tel) : core_(std::make_shared<Core>()) {
   core_->tel = tel;
 }
 

@@ -18,9 +18,10 @@
 //     queued chunk held by a deferred close. The free list lives in a
 //     shared core; once the pool closes, late releases simply free instead
 //     of recycling. No chunk is ever leaked or double-freed either way.
-//   * The free list is bounded (max_free) and oversize buffers are trimmed
-//     back to retain_capacity on release, so one 4 MB frame doesn't pin
-//     megabytes behind a pool that then moves small chunks forever.
+//   * The free list is bounded (kMaxFree) and buffers grown past
+//     kRetainCapacity are freed back to the allocator on release, so one
+//     4 MB frame doesn't pin megabytes behind a pool that then moves small
+//     chunks forever.
 //
 // Counters are relaxed atomics so stats printers on other threads can read
 // them; all structural mutation stays on the owning loop thread.
@@ -73,10 +74,8 @@ class ChunkRef {
 
 class ChunkPool {
  public:
-  struct Config {
-    std::size_t max_free = 256;                  ///< free-list buffers retained
-    std::size_t retain_capacity = 256 * 1024;    ///< trim buffers grown past this
-  };
+  static constexpr std::size_t kMaxFree = 256;                ///< free-list buffers retained
+  static constexpr std::size_t kRetainCapacity = 256 * 1024;  ///< trim buffers grown past this
   /// Point-in-time counter copy; `outstanding` is chunks held by a live ref.
   struct Counters {
     u64 allocated = 0;  ///< fresh heap buffers ever created
@@ -86,9 +85,7 @@ class ChunkPool {
 
   /// `tel`, when set, receives pool_recycled() ticks so the reuse rate shows
   /// up in the transport telemetry next to the syscall counters.
-  ChunkPool();
   explicit ChunkPool(TransportTelemetry* tel);
-  ChunkPool(TransportTelemetry* tel, Config cfg);
   ~ChunkPool();
   ChunkPool(const ChunkPool&) = delete;
   ChunkPool& operator=(const ChunkPool&) = delete;

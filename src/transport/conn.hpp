@@ -3,9 +3,9 @@
 // Two concrete carriers share one interface:
 //   * StreamConn — TCP with a u32 big-endian length prefix per chunk and a
 //     bounded write queue. The queue is the backpressure coupling point: the
-//     tunnel stops pulling from its SpscRing-fed binding while queued bytes
-//     sit at the watermark, so socket stalls propagate back into the same
-//     flow control the line card already uses. The queue holds pooled
+//     tunnel stops pulling from its binding while queued bytes sit at the
+//     watermark, so socket stalls propagate back into the device's shared
+//     memory, whose admission refuses new datagrams. The queue holds pooled
 //     ChunkRefs and flushes through one scatter-gather sendmsg spanning up
 //     to IOV_MAX queued chunks, so a pump slice's worth of frames shares a
 //     single syscall.

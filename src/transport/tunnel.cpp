@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "linecard/channel.hpp"
 #include "p5/endpoint.hpp"
 
 namespace p5::transport {
@@ -33,39 +32,6 @@ TunnelBinding TunnelBinding::endpoint(core::SonetEndpoint& ep) {
     ep.drain_rx();
     return burst.size();
   };
-  return b;
-}
-
-TunnelBinding TunnelBinding::channel(linecard::Channel& ch) {
-  // Chunk codec for fabric extension: [u16 protocol BE][u8 fabric_dest]
-  // [u8 source_channel][payload].
-  TunnelBinding b;
-  b.pull = [&ch]() -> Bytes {
-    auto d = ch.egress_take();
-    if (!d) return {};
-    Bytes out;
-    out.reserve(4 + d->payload.size());
-    put_be16(out, d->protocol);
-    out.push_back(d->fabric_dest);
-    out.push_back(d->source_channel);
-    append(out, d->payload);
-    return out;
-  };
-  b.ready = [&ch] { return ch.egress_pending() > 0; };
-  b.push_batch = [&ch](std::span<const BytesView> burst) {
-    std::size_t accepted = 0;
-    for (const BytesView& v : burst) {
-      if (v.size() < 4) continue;  // too short for the header: refused
-      linecard::FrameDesc d;
-      d.protocol = get_be16(v, 0);
-      d.fabric_dest = v[2];
-      d.source_channel = v[3];
-      d.payload.assign(v.begin() + 4, v.end());
-      if (ch.ingress_offer(std::move(d))) ++accepted;
-    }
-    return accepted;
-  };
-  b.step = [&ch] { (void)ch.step(); };
   return b;
 }
 
@@ -220,13 +186,12 @@ void Tunnel::schedule_reconnect() {
 }
 
 std::size_t Tunnel::pump() {
-  if (binding_.step) binding_.step();
   if (state_ != TunnelState::kConnected || !conn_) return 0;
   std::size_t sent = 0;
   while (sent < cfg_.frames_per_pump) {
     if (!conn_->writable()) {
-      // The watermark is the coupling point: chunks stay in the binding's
-      // rings (SpscRing flow control) instead of ballooning the socket queue.
+      // The watermark is the coupling point: frames stay in the endpoint's
+      // shared memory instead of ballooning the socket queue.
       if (binding_.ready && binding_.ready()) tel_.backpressure_stall();
       break;
     }

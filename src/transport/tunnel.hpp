@@ -1,15 +1,13 @@
 // Tunnel: binds one side of a PPP-over-SONET simulation to a real socket so
 // the other side can live in a different process.
 //
-// The bound object is abstracted as a TunnelBinding — three TX hooks, one
-// RX hook and an optional housekeeping step — with two stock flavours:
-//   * endpoint() — either device tier's SonetEndpoint. Chunks are whole
-//     scrambled STS-Nc frames; pull is gated by the endpoint's exact
-//     tx_pending(): frames go out while a PPP frame's octets (up to its
-//     closing flag) are still inside the device, and never as pure flag fill.
-//   * channel() — a linecard::Channel's fabric edge. Chunks are encoded
-//     FrameDescs ([u16 protocol BE][u8 fabric_dest][u8 source_channel]
-//     [payload]), extending the MAPOS fabric across processes.
+// The bound object is abstracted as a TunnelBinding — three TX hooks and
+// one RX hook — with one stock flavour, endpoint(): either device tier's
+// SonetEndpoint. Chunks are whole scrambled STS-Nc frames; pull is gated by
+// the endpoint's exact tx_pending(): frames go out while a PPP frame's
+// octets (up to its closing flag) are still inside the device, and never as
+// pure flag fill. Callers may wrap the hooks (a benchmark times them, a
+// test substitutes a firehose).
 //
 // Reconnect state machine (connector side):
 //
@@ -41,9 +39,6 @@
 namespace p5::core {
 class SonetEndpoint;
 }
-namespace p5::linecard {
-class Channel;
-}
 
 namespace p5::transport {
 
@@ -53,19 +48,16 @@ namespace p5::transport {
 /// SONET transmitter); `ready` predicts whether pull would produce;
 /// `push_batch` takes a whole received burst in one call and returns how
 /// many chunks the bound object accepted (refusals, ring full for example,
-/// are counted as rx drops regardless of position); `step`, when present,
-/// runs one housekeeping slice per pump.
+/// are counted as rx drops regardless of position).
 struct TunnelBinding {
   std::function<Bytes()> pull;
   std::function<Bytes()> pull_raw;
   std::function<bool()> ready;
   std::function<std::size_t(std::span<const BytesView>)> push_batch;
-  std::function<void()> step;
 
   /// Bind either device tier: cycle-accurate P5SonetEndpoint or the batch
   /// FastP5Endpoint — the binding only touches the SonetEndpoint surface.
   static TunnelBinding endpoint(core::SonetEndpoint& ep);
-  static TunnelBinding channel(linecard::Channel& ch);
 };
 
 struct TunnelConfig {
@@ -107,10 +99,10 @@ class Tunnel {
 
   void start();
 
-  /// One TX slice: step the binding, then move up to frames_per_pump chunks
-  /// from the binding into the connection — stopping (and counting a
-  /// backpressure stall) the moment the write queue hits its watermark.
-  /// Returns chunks handed to the connection.
+  /// One TX slice: move up to frames_per_pump chunks from the binding into
+  /// the connection — stopping (and counting a backpressure stall) the
+  /// moment the write queue hits its watermark. Returns chunks handed to the
+  /// connection.
   std::size_t pump();
 
   /// Graceful goodbye: stop pulling, flush the queue, half-close, kClosed.

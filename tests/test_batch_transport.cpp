@@ -105,38 +105,38 @@ TEST(BatchTransport, PartialSendmsgResumesMidIovecUnderTinySndbuf) {
 // ----------------------------------------------------------------- ChunkPool
 
 TEST(BatchTransport, PoolRecyclesChunksAndBoundsTheFreeList) {
-  ChunkPool::Config cfg;
-  cfg.max_free = 4;
-  cfg.retain_capacity = 1024;
-  ChunkPool pool(nullptr, cfg);
+  ChunkPool pool(nullptr);
+  constexpr std::size_t kMax = ChunkPool::kMaxFree;
+  constexpr std::size_t kExtra = 4;
 
   std::vector<ChunkRef> held;
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < kMax + kExtra; ++i) {
     ChunkRef r = pool.acquire(128);
     r.data().assign(64, u8(i));
     held.push_back(std::move(r));
   }
   ChunkPool::Counters c = pool.counters();
-  EXPECT_EQ(c.allocated, 8u);
+  EXPECT_EQ(c.allocated, kMax + kExtra);
   EXPECT_EQ(c.recycled, 0u);
-  EXPECT_EQ(c.outstanding, 8u);
+  EXPECT_EQ(c.outstanding, kMax + kExtra);
 
-  held.clear();  // 4 go to the free list, 4 are freed (bounded list)
+  held.clear();  // kMaxFree go to the free list, the rest are freed (bounded list)
   c = pool.counters();
   EXPECT_EQ(c.outstanding, 0u);
 
-  for (int i = 0; i < 4; ++i) held.push_back(pool.acquire(128));
+  for (std::size_t i = 0; i < kMax; ++i) held.push_back(pool.acquire(128));
   c = pool.counters();
-  EXPECT_EQ(c.allocated, 8u);  // served from the free list, no new heap
-  EXPECT_EQ(c.recycled, 4u);
-  EXPECT_EQ(c.outstanding, 4u);
+  EXPECT_EQ(c.allocated, kMax + kExtra);  // served from the free list, no new heap
+  EXPECT_EQ(c.recycled, kMax);
+  EXPECT_EQ(c.outstanding, kMax);
 
   // Oversize buffers are trimmed on release instead of pinning capacity.
-  ChunkRef big = pool.acquire(64 * 1024);
-  big.data().resize(64 * 1024);
+  const std::size_t oversize = 2 * ChunkPool::kRetainCapacity;
+  ChunkRef big = pool.acquire(oversize);
+  big.data().resize(oversize);
   big.reset();
   ChunkRef again = pool.acquire(16);
-  EXPECT_LE(again.data().capacity(), cfg.retain_capacity + 16);
+  EXPECT_LE(again.data().capacity(), ChunkPool::kRetainCapacity + 16);
 }
 
 TEST(BatchTransport, ChunksOutlivingTheirPoolSelfFree) {

@@ -141,7 +141,6 @@ TEST_P(StuffDensity, SwarStuffByteIdenticalToScalar) {
       const Bytes p = escape_mix(rng, len, density);
       const Bytes fast = hdlc::stuff(p, accm);
       EXPECT_EQ(fast, scalar::stuff(p, accm)) << "len " << len;
-      EXPECT_EQ(fast.size(), p.size() + hdlc::stuffing_expansion(p, accm));
 
       // Round trip back through the SWAR destuffer.
       const auto rt = hdlc::destuff(fast);
@@ -170,8 +169,6 @@ TEST(Stuff, RandomAccmMasksByteIdenticalToScalar) {
 
       const Bytes fast = hdlc::stuff(p, accm);
       EXPECT_EQ(fast, expected) << "map 0x" << std::hex << accm.map();
-      EXPECT_EQ(p.size() + hdlc::stuffing_expansion(p, accm), expected.size())
-          << "count_escapes disagrees with scalar, map 0x" << std::hex << accm.map();
 
       // The fused CRC+stuff pass shares the same escape scan.
       Bytes fused;
@@ -221,7 +218,6 @@ TEST(Stuff, AllEscapePayloadReservesExactly) {
   const Bytes p(4096, hdlc::kFlag);
   const Bytes out = hdlc::stuff(p);
   EXPECT_EQ(out.size(), 2 * p.size());
-  EXPECT_EQ(hdlc::stuffing_expansion(p), p.size());
 }
 
 // ---------------------------------------------------------------- fused framer

@@ -353,7 +353,7 @@ TEST(FaultInjection, ReceiversResynchroniseOnceTheNoiseStops) {
 TEST(FaultInjection, SonetPointerEventsAndBerRecoverEndToEnd) {
   core::P5Config pc;
   pc.lanes = 4;
-  core::P5SonetLink link(pc, sonet::kSts3c, sonet::LineConfig{});
+  core::P5SonetLink link(pc, sonet::kSts3c);
 
   auto ab = std::make_shared<FaultyLine>([] {
     FaultSpec s = FaultSpec::pointer_events(0.25, sonet::kSts3c, 0x50E7);
@@ -402,7 +402,7 @@ TEST(FaultInjection, SonetPointerEventsAndBerRecoverEndToEnd) {
 TEST(FaultInjection, SonetFaultScenarioIsDeterministic) {
   auto run = [] {
     core::P5Config pc;
-    core::P5SonetLink link(pc, sonet::kSts3c, sonet::LineConfig{});
+    core::P5SonetLink link(pc, sonet::kSts3c);
     auto ab = std::make_shared<FaultyLine>([] {
       FaultSpec s = FaultSpec::ber(5e-5, 1234);
       s.slip_insert_rate = 0.05;

@@ -92,14 +92,6 @@ TEST(Stuffing, RoundTripWithAccm) {
   }
 }
 
-TEST(Stuffing, ExpansionCountMatches) {
-  Xoshiro256 rng(4);
-  for (int t = 0; t < 50; ++t) {
-    const Bytes in = rng.bytes(300);
-    EXPECT_EQ(stuff(in).size(), in.size() + stuffing_expansion(in));
-  }
-}
-
 TEST(Stuffing, DanglingEscapeFails) {
   const Bytes bad{0x12, 0x7D};
   EXPECT_FALSE(destuff(bad).ok);

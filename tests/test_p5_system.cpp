@@ -11,6 +11,7 @@
 #include "net/traffic.hpp"
 #include "p5/p5.hpp"
 #include "p5/sonet_link.hpp"
+#include "testing/fault.hpp"
 
 namespace p5::core {
 namespace {
@@ -252,7 +253,7 @@ TEST(P5Interop, BroadcastAddressAcceptedByAllStations) {
 TEST(SonetStack, CleanLineDeliversEverything) {
   P5Config cfg;
   cfg.lanes = 4;
-  P5SonetLink link(cfg, sonet::kSts3c, sonet::LineConfig{});
+  P5SonetLink link(cfg, sonet::kSts3c);
   std::vector<Bytes> got_b;
   link.b().set_rx_sink([&](RxDelivery d) { got_b.push_back(std::move(d.payload)); });
   std::vector<Bytes> got_a;
@@ -280,7 +281,7 @@ TEST(SonetStack, CleanLineDeliversEverything) {
 
 TEST(SonetStack, DatagramsAreRealIpv4) {
   P5Config cfg;
-  P5SonetLink link(cfg, sonet::kSts3c, sonet::LineConfig{});
+  P5SonetLink link(cfg, sonet::kSts3c);
   int valid = 0;
   link.b().set_rx_sink([&](RxDelivery d) {
     if (net::parse_datagram(d.payload)) ++valid;
@@ -294,10 +295,9 @@ TEST(SonetStack, DatagramsAreRealIpv4) {
 
 TEST(SonetStack, NoisyLineErrorsAreCountedNotDelivered) {
   P5Config cfg;
-  sonet::LineConfig noisy;
-  noisy.bit_error_rate = 2e-5;
-  noisy.seed = 77;
-  P5SonetLink link(cfg, sonet::kSts3c, noisy);
+  P5SonetLink link(cfg, sonet::kSts3c);
+  testing::FaultyLine noisy(testing::FaultSpec::ber(2e-5, 77));
+  link.set_line_tap(std::ref(noisy), nullptr);
   std::vector<Bytes> delivered;
   link.b().set_rx_sink([&](RxDelivery d) { delivered.push_back(std::move(d.payload)); });
 
@@ -312,7 +312,7 @@ TEST(SonetStack, NoisyLineErrorsAreCountedNotDelivered) {
   link.b().drain_rx(500);
 
   // Some frames must be lost to FCS errors at this BER, none corrupted.
-  EXPECT_GT(link.line_ab_stats().bit_errors, 0u);
+  EXPECT_GT(noisy.stats().bit_flips, 0u);
   EXPECT_LT(delivered.size(), sent.size());
   const u64 bad = link.b().rx_crc().bad_frames() +
                   link.b().flag_delineator().counters().aborts +
@@ -330,7 +330,7 @@ TEST(SonetStack, NoisyLineErrorsAreCountedNotDelivered) {
 TEST(SonetStack, Sts48cCarriesGigabitPayload) {
   // One STS-48c frame carries ~37k payload octets at 8 kHz: 2.4 Gbps.
   P5Config cfg;
-  P5SonetLink link(cfg, sonet::kSts48c, sonet::LineConfig{});
+  P5SonetLink link(cfg, sonet::kSts48c);
   int got = 0;
   link.b().set_rx_sink([&](RxDelivery) { ++got; });
   Xoshiro256 rng(6);

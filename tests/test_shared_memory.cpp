@@ -36,32 +36,28 @@ TEST(SharedMemory, PostFetchFifoOrder) {
 }
 
 TEST(SharedMemory, TxPoolExhaustionRejects) {
-  SharedMemoryConfig cfg;
-  cfg.tx_pool_bytes = 100;
-  SharedMemory mem(cfg);
-  EXPECT_TRUE(mem.post_tx(make_req(60)));
-  EXPECT_FALSE(mem.post_tx(make_req(60)));  // 120 > 100
+  SharedMemory mem;
+  EXPECT_TRUE(mem.post_tx(make_req(SharedMemory::kPoolBytes - 40)));
+  EXPECT_FALSE(mem.post_tx(make_req(60)));  // 20 octets past the pool
   EXPECT_EQ(mem.stats().tx_rejected, 1u);
+  EXPECT_TRUE(mem.post_tx(make_req(40)));   // exactly full
   (void)mem.fetch_tx();
   EXPECT_TRUE(mem.post_tx(make_req(60)));  // space reclaimed
 }
 
 TEST(SharedMemory, TxRingExhaustionRejects) {
-  SharedMemoryConfig cfg;
-  cfg.tx_ring_entries = 2;
-  SharedMemory mem(cfg);
-  EXPECT_TRUE(mem.post_tx(make_req(1)));
-  EXPECT_TRUE(mem.post_tx(make_req(1)));
+  SharedMemory mem;
+  for (std::size_t i = 0; i < SharedMemory::kRingEntries; ++i)
+    EXPECT_TRUE(mem.post_tx(make_req(1)));
   EXPECT_FALSE(mem.post_tx(make_req(1)));
+  EXPECT_EQ(mem.stats().tx_rejected, 1u);
 }
 
 TEST(SharedMemory, RxDropCountedWhenFull) {
-  SharedMemoryConfig cfg;
-  cfg.rx_ring_entries = 1;
-  SharedMemory mem(cfg);
+  SharedMemory mem;
   RxDelivery d;
   d.payload = {1, 2, 3};
-  EXPECT_TRUE(mem.store_rx(d));
+  for (std::size_t i = 0; i < SharedMemory::kRingEntries; ++i) EXPECT_TRUE(mem.store_rx(d));
   EXPECT_FALSE(mem.store_rx(d));
   EXPECT_EQ(mem.stats().rx_dropped, 1u);
   ASSERT_TRUE(mem.reap_rx().has_value());

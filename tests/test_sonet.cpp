@@ -1,13 +1,14 @@
 // SDH/SONET substrate tests: scramblers, STS-Nc framer/deframer geometry,
-// alignment recovery, BIP error counting and the stochastic line model.
+// alignment recovery, BIP error counting and golden frame-stream digests.
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
+#include <vector>
 
 #include "common/md5.hpp"
 #include "common/rng.hpp"
 #include "p5/endpoint.hpp"
-#include "sonet/line.hpp"
 #include "sonet/scrambler.hpp"
 #include "sonet/spe.hpp"
 
@@ -337,9 +338,26 @@ TEST(Sonet, DeframerSplitInvariance) {
 
 /// Seeded traffic into `ep`, one frame pulled per step: bursts of 1..4n/3
 /// datagrams of 1..1600 octets (about a tenth of them 0x7E/0x7D), half of
-/// them followed by an idle stretch of 3..12 frames of flag fill.
+/// them followed by an idle stretch of 3..12 frames of flag fill. Every
+/// frame also goes to a far endpoint of each tier; once the near end has
+/// drained, each must have delivered every submitted datagram, in order.
 std::string endpoint_stream_md5(core::DeviceTier tier, StsSpec sts, std::size_t frames) {
   auto ep = core::make_sonet_endpoint(tier, {}, sts);
+  core::P5Config far_cfg;
+  far_cfg.max_payload = 1600;
+  std::vector<std::unique_ptr<core::SonetEndpoint>> fars;
+  for (const core::DeviceTier t : {core::DeviceTier::kCycle, core::DeviceTier::kFast})
+    fars.push_back(core::make_sonet_endpoint(t, far_cfg, sts));
+  std::vector<Bytes> sent;
+  std::vector<std::vector<Bytes>> got(fars.size());
+  const auto carry = [&](const Bytes& frame) {
+    for (std::size_t i = 0; i < fars.size(); ++i) {
+      fars[i]->push_line(frame);
+      fars[i]->drain_rx();
+      while (auto d = fars[i]->reap_datagram()) got[i].push_back(std::move(d->payload));
+    }
+  };
+
   Xoshiro256 rng(0x60D5 + sts.n);
   Md5 md5;
   std::size_t idle = 0;
@@ -353,6 +371,7 @@ std::string endpoint_stream_md5(core::DeviceTier tier, StsSpec sts, std::size_t 
         for (u8& b : payload)
           b = rng.below(10) == 0 ? (rng.below(2) ? hdlc::kFlag : hdlc::kEscape) : rng.byte();
         if (!ep->tx_has_room(payload.size())) break;
+        sent.push_back(payload);
         EXPECT_TRUE(ep->submit_datagram(0x0021, std::move(payload)));
       }
       if (rng.below(2) == 0) idle = 3 + rng.below(10);
@@ -360,23 +379,29 @@ std::string endpoint_stream_md5(core::DeviceTier tier, StsSpec sts, std::size_t 
     const Bytes frame = ep->pull_frame();
     EXPECT_EQ(frame.size(), sts.frame_bytes());
     md5.update(frame);
+    carry(frame);
   }
+  for (std::size_t tail = 0; tail < 64 && ep->tx_pending(); ++tail) carry(ep->pull_frame());
+  EXPECT_FALSE(ep->tx_pending());
+  for (std::size_t i = 0; i < fars.size(); ++i)
+    EXPECT_TRUE(got[i] == sent) << "far " << core::to_string(fars[i]->tier()) << " end: "
+                                << got[i].size() << " of " << sent.size() << " delivered";
   return md5_hex(md5.finish());
 }
 
 TEST(SonetGolden, FastTierSts3c) {
   EXPECT_EQ(endpoint_stream_md5(core::DeviceTier::kFast, kSts3c, 300),
-            "391054b8b59bb7fcfca82ad62daecbee");
+            "ca03a3a3f1528de426f068459d380160");
 }
 
 TEST(SonetGolden, FastTierSts12c) {
   EXPECT_EQ(endpoint_stream_md5(core::DeviceTier::kFast, kSts12c, 300),
-            "626825040e4959a92e9e94b151440dce");
+            "08361e38d635343b4d9be3e587e5df43");
 }
 
 TEST(SonetGolden, FastTierSts48c) {
   EXPECT_EQ(endpoint_stream_md5(core::DeviceTier::kFast, kSts48c, 300),
-            "2fa49e9e70b3b87d092faf2e4bcf4ac4");
+            "4d28fcd692e8c9dcaa8b6464581946d0");
 }
 
 TEST(SonetGolden, CycleTierSts3c) {
@@ -392,51 +417,34 @@ TEST(SonetGolden, SupplierAdapterSts3c) {
   EXPECT_EQ(md5_hex(md5.finish()), "0620850ef3e1eac537c7c0ecdb656934");
 }
 
-// ---- line model ----
+// ---- idle fill ----
 
-TEST(Line, NoErrorsAtZeroBer) {
-  Line line(LineConfig{});
-  Xoshiro256 rng(16);
-  const Bytes in = rng.bytes(5000);
-  EXPECT_EQ(line.transfer(in), in);
-  EXPECT_EQ(line.stats().bit_errors, 0u);
-}
-
-TEST(Line, MeasuredBerNearConfigured) {
-  LineConfig cfg;
-  cfg.bit_error_rate = 1e-3;
-  cfg.seed = 17;
-  Line line(cfg);
-  Xoshiro256 rng(18);
-  (void)line.transfer(rng.bytes(200000));
-  EXPECT_NEAR(line.measured_ber(), 1e-3, 3e-4);
-}
-
-TEST(Line, BurstModeClustersErrors) {
-  LineConfig cfg;
-  cfg.bit_error_rate = 0.0;
-  cfg.burst_enter = 0.001;
-  cfg.burst_exit = 0.05;
-  cfg.burst_error_rate = 0.2;
-  cfg.seed = 19;
-  Line line(cfg);
-  Xoshiro256 rng(20);
-  (void)line.transfer(rng.bytes(100000));
-  // Errors exist and are clustered: octets-hit should be much smaller than
-  // bit_errors would suggest under independence at the same average rate.
-  EXPECT_GT(line.stats().bit_errors, 0u);
-  EXPECT_GT(static_cast<double>(line.stats().bit_errors) /
-                static_cast<double>(line.stats().octets_hit),
-            1.2);
-}
-
-TEST(Line, DeterministicBySeed) {
-  LineConfig cfg;
-  cfg.bit_error_rate = 1e-2;
-  Line a(cfg), b(cfg);
-  Xoshiro256 rng(21);
-  const Bytes in = rng.bytes(1000);
-  EXPECT_EQ(a.transfer(in), b.transfer(in));
+// After an idle gap, a burst starts at the next frame's first SPE octet: the
+// flag fill that closed the previous burst's frame is not carried into it.
+// Two 1130-octet datagrams fit one STS-3c SPE (2340 octets) together.
+TEST(SonetEndpoint, BurstAfterIdleStartsAtTheNextFrame) {
+  for (const core::DeviceTier tier : {core::DeviceTier::kCycle, core::DeviceTier::kFast}) {
+    SCOPED_TRACE(core::to_string(tier));
+    auto near = core::make_sonet_endpoint(tier, {}, kSts3c);
+    auto far = core::make_sonet_endpoint(tier, {}, kSts3c);
+    const auto frames_to_drain = [&] {
+      std::size_t frames = 0;
+      for (; frames < 8 && near->tx_pending(); ++frames) far->push_line(near->pull_frame());
+      far->drain_rx();
+      return frames;
+    };
+    ASSERT_TRUE(near->submit_datagram(0x0021, Bytes(300, 0x11)));
+    EXPECT_EQ(frames_to_drain(), 1u);
+    ASSERT_TRUE(near->submit_datagram(0x0021, Bytes(1130, 0x22)));
+    ASSERT_TRUE(near->submit_datagram(0x0021, Bytes(1130, 0x33)));
+    EXPECT_EQ(frames_to_drain(), 1u);
+    for (const int fill : {0x11, 0x22, 0x33}) {
+      const auto d = far->reap_datagram();
+      ASSERT_TRUE(d.has_value());
+      EXPECT_EQ(d->payload.front(), fill);
+    }
+    EXPECT_FALSE(far->reap_datagram().has_value());
+  }
 }
 
 }  // namespace

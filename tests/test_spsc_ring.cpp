@@ -1,16 +1,16 @@
-// linecard::SpscRing — deterministic edge cases (wraparound, full, empty,
-// capacity rounding, move-only payloads) plus the two-thread stress test the
-// threaded line-card runtime stands on: millions of blocking push/pop ops
-// with strict order and checksum verification. Run the suite under
+// SpscRing — deterministic edge cases (wraparound, full, empty, capacity
+// rounding, move-only payloads) plus the two-thread stress test the threaded
+// line card and the server shards stand on: millions of blocking push/pop
+// ops with strict order and checksum verification. Run the suite under
 // -fsanitize=thread to prove the ring's acquire/release protocol racefree.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <thread>
 
-#include "linecard/spsc_ring.hpp"
+#include "common/spsc_ring.hpp"
 
-namespace p5::linecard {
+namespace p5 {
 namespace {
 
 TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
@@ -151,4 +151,4 @@ TEST(SpscRing, TwoThreadStressWithHeapPayloads) {
 }
 
 }  // namespace
-}  // namespace p5::linecard
+}  // namespace p5

@@ -11,14 +11,12 @@
 //    kill-and-reconnect runs the backoff ladder and keeps the loss
 //    invariant frames_in == frames_out + frames_lost exact; UDP datagram
 //    loss (testing::FaultSpec::drop as the rx tap) costs resyncs, never
-//    corrupt deliveries; a linecard::Channel's fabric edge bridges across
-//    the socket; the backoff budget fails closed; an oversize length prefix
-//    is a protocol error, not a wait for gigabytes.
+//    corrupt deliveries; the backoff budget fails closed; an oversize
+//    length prefix is a protocol error, not a wait for gigabytes.
 //
 // The tunnel tests run at both device tiers: the TcpDelivery/Udp pairs pin
 // DeviceTier::kCycle and DeviceTier::kFast in twin tests, and the
-// kill/reconnect, channel-bridge and drain tests run their body once per
-// tier.
+// kill/reconnect and drain tests run their body once per tier.
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -30,8 +28,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "linecard/channel.hpp"
-#include "linecard/telemetry.hpp"
 #include "p5/sonet_link.hpp"
 #include "testing/fault.hpp"
 #include "transport/conn.hpp"
@@ -357,7 +353,7 @@ struct TunnelHarness {
 
 /// Reference: the same payloads through a directly wired in-memory link.
 std::vector<Bytes> direct_deliveries(const std::vector<Bytes>& payloads) {
-  core::P5SonetLink link({}, sonet::kSts3c, {});
+  core::P5SonetLink link({}, sonet::kSts3c);
   for (const Bytes& p : payloads) EXPECT_TRUE(link.a().submit_datagram(0x0021, p));
   std::vector<Bytes> out;
   for (int guard = 0; guard < 10000 && out.size() < payloads.size(); ++guard) {
@@ -534,59 +530,6 @@ TEST(TransportTunnel, UdpToleratesInjectedDatagramLoss) {
 
 TEST(TransportTunnel, FastTierUdpToleratesFortyPercentDatagramLoss) {
   udp_tolerates_datagram_loss(core::DeviceTier::kFast);
-}
-
-TEST(TransportTunnel, ChannelBindingBridgesFabricAcrossTheSocket) {
-  for (const core::DeviceTier tier : kBothTiers) {
-    SCOPED_TRACE(core::to_string(tier));
-    EventLoop loop;
-    linecard::ChannelTelemetry tel_a, tel_b;
-    linecard::ChannelConfig cc;
-    cc.tier = tier;
-    linecard::Channel ch_a(0, cc, tel_a), ch_b(1, cc, tel_b);
-
-    TunnelConfig ca;
-    ca.listen = true;
-    ca.port = 0;
-    Tunnel tun_a(loop, TunnelBinding::channel(ch_a), ca);
-    tun_a.start();
-
-    // B side: deliveries out of ch_b's link are consumed by the test itself,
-    // so the tunnel only feeds the fabric ring (one-way bridge).
-    TunnelBinding b_bind = TunnelBinding::channel(ch_b);
-    b_bind.pull = nullptr;
-    b_bind.ready = nullptr;
-    TunnelConfig cb;
-    cb.port = tun_a.bound_port();
-    Tunnel tun_b(loop, std::move(b_bind), cb);
-    tun_b.start();
-
-    Xoshiro256 rng(19);
-    std::vector<Bytes> payloads;
-    for (u32 i = 0; i < 12; ++i) payloads.push_back(stamped_payload(rng, i, rng.range(40, 200)));
-    for (const Bytes& p : payloads) {
-      linecard::FrameDesc d;
-      d.fabric_dest = 0x41;
-      d.payload = p;
-      ASSERT_TRUE(ch_a.source_ring().try_push(std::move(d)));
-    }
-
-    std::vector<linecard::FrameDesc> arrived;
-    for (int guard = 0; guard < 60000 && arrived.size() < payloads.size(); ++guard) {
-      tun_a.pump();
-      tun_b.pump();
-      loop.run_once(1);
-      while (auto d = ch_b.egress_ring().try_pop()) arrived.push_back(std::move(*d));
-    }
-    ASSERT_EQ(arrived.size(), payloads.size());
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      EXPECT_EQ(arrived[i].payload, payloads[i]);
-      EXPECT_EQ(arrived[i].source_channel, 1);  // re-stamped by ch_b's ingress
-    }
-    EXPECT_EQ(tun_a.stats().frames_out, payloads.size());
-    EXPECT_EQ(tun_b.stats().rx_drops, 0u);
-
-  }
 }
 
 TEST(TransportTunnel, DrainFlushesThenCloses) {
